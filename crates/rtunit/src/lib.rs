@@ -84,10 +84,6 @@ pub use knn::{select_k_nearest, DistanceStream, KnnEngine, KnnMetric, KnnStats, 
 pub use parallel::{
     default_parallelism, PoolStats, CHUNKS_PER_WORKER, MIN_ANY_RAYS_PER_SHARD, MIN_RAYS_PER_SHARD,
 };
-#[allow(deprecated)]
-pub use parallel::{
-    trace_fused_parallel, trace_packet_parallel, trace_rays_parallel, trace_shadow_rays_parallel,
-};
 pub use policy::{AdmissionOrder, CoherenceMode, ExecMode, ExecPolicy, ShardHint};
 pub use query::{
     BatchQuery, CappedFusedRun, CappedRun, FusedScheduler, FusedStream, QueryKind, StreamRunner,
@@ -97,8 +93,6 @@ pub use renderer::{
     default_light_dir, extract_surfels, shade, shade_deferred, Camera, CameraBasis, FrameDesc,
     Image, RenderPasses, Renderer,
 };
-#[allow(deprecated)]
-pub use renderer::{render_bounce_parallel, render_parallel};
 pub use rt_unit::{RtUnit, RtUnitConfig, RtUnitStats};
 pub use scene::{Blas, Instance, Scene};
 pub use traversal::{

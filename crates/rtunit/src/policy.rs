@@ -1,9 +1,8 @@
 //! Execution policies: **one** policy-driven entry point per query kind instead of a method per
 //! execution mode.
 //!
-//! Four PRs of growth each added named method variants — `closest_hits` /
-//! `closest_hits_wavefront` / `trace_fused` / `trace_fused_parallel`, six `render_deferred*`
-//! flavours — turning the public surface into an M×N matrix of query kinds × execution modes.
+//! A method per execution mode would turn the public surface into an M×N matrix of query kinds ×
+//! execution modes.
 //! The paper's unified-RT-unit premise is that *one datapath serves heterogeneous query kinds*;
 //! the API mirrors that now: every engine exposes a single entry point per query kind
 //! ([`TraversalEngine::trace`](crate::TraversalEngine::trace),
@@ -63,30 +62,23 @@ pub enum CoherenceMode {
     Off,
     /// Sort the admission order once by ray octant + origin Morton key
     /// ([`RayOperand::coherence_key`](rayflex_core::RayOperand::coherence_key)), so rays that
-    /// traverse similar node sequences build adjacent pass slots.
-    SortOnly,
-    /// [`CoherenceMode::SortOnly`] plus opcode-bucketed pass packing: each pass's ray–triangle
-    /// trains are deferred behind its ray–box beats, so box beats pair into eight-wide issues
-    /// and triangle trains concatenate into long same-opcode runs.  The default for the batched
-    /// modes.
+    /// traverse similar node sequences build adjacent pass slots, and pack each pass by opcode:
+    /// its ray–triangle trains are deferred behind its ray–box beats, so box beats pair into
+    /// eight-wide issues and triangle trains concatenate into long same-opcode runs.  The
+    /// default for the batched modes.
     #[default]
     SortAndCompact,
 }
 
 impl CoherenceMode {
     /// Every coherence mode, in off-first order (the sweep order of the policy matrix tests).
-    pub const ALL: [CoherenceMode; 3] = [
-        CoherenceMode::Off,
-        CoherenceMode::SortOnly,
-        CoherenceMode::SortAndCompact,
-    ];
+    pub const ALL: [CoherenceMode; 2] = [CoherenceMode::Off, CoherenceMode::SortAndCompact];
 
-    /// A short stable name for reports and CLI flags (`off`, `sort`, `sort-compact`).
+    /// A short stable name for reports and CLI flags (`off`, `sort-compact`).
     #[must_use]
     pub fn name(&self) -> &'static str {
         match self {
             CoherenceMode::Off => "off",
-            CoherenceMode::SortOnly => "sort",
             CoherenceMode::SortAndCompact => "sort-compact",
         }
     }
@@ -270,8 +262,10 @@ pub struct ExecPolicy {
     pub max_total_beats: u64,
     /// SIMD lane width of the batched dispatch paths: how many beats (or one beat's four AABBs)
     /// the datapath's lane-batched kernels evaluate per step.  `0` (the unset default) and `1`
-    /// both select the per-beat scalar fast path; `4` and `8` engage the lane kernels; other
-    /// values are clamped by [`ExecPolicy::effective_simd_lanes`].  Ignored by
+    /// both select the per-beat scalar fast path; `4` up to
+    /// [`MAX_SIMD_LANES`](rayflex_core::MAX_SIMD_LANES) (`16`, the widest kernel tier and the
+    /// online server's default) engage the lane kernels; other values are clamped by
+    /// [`ExecPolicy::effective_simd_lanes`].  Ignored by
     /// [`ExecMode::ScalarReference`], which always runs the register-accurate per-beat emulation
     /// — the oracle the lane kernels are pinned against.  Outputs and statistics are
     /// lane-invariant (bit-identical across widths); only throughput changes.
@@ -520,13 +514,13 @@ mod tests {
         assert_eq!(off.mode, ExecMode::Wavefront);
         let composed = ExecPolicy::fused()
             .with_beat_budget(2)
-            .with_coherence(CoherenceMode::SortOnly)
+            .with_coherence(CoherenceMode::Off)
             .with_simd_lanes(8);
-        assert_eq!(composed.coherence, CoherenceMode::SortOnly);
+        assert_eq!(composed.coherence, CoherenceMode::Off);
         assert_eq!(composed.beat_budget_per_stream, 2);
         assert_eq!(composed.simd_lanes, 8);
         let names: Vec<_> = CoherenceMode::ALL.iter().map(|c| c.name()).collect();
-        assert_eq!(names, ["off", "sort", "sort-compact"]);
+        assert_eq!(names, ["off", "sort-compact"]);
     }
 
     #[test]

@@ -285,6 +285,9 @@ impl<S: Default> WavefrontScheduler<S> {
     {
         let items = query.items();
 
+        // Coherence on means both halves: sorted admission and opcode-bucketed passes.
+        let coherent = self.coherence != CoherenceMode::Off;
+
         // Coherent admission: compute the run's admission order once — identity, or the
         // coherence sort of the item indices by the query's key (ties broken by item index, so
         // identity keys keep caller order and the sort is deterministic).  Results reassemble
@@ -293,7 +296,7 @@ impl<S: Default> WavefrontScheduler<S> {
         self.order.clear();
         self.order.extend(0..items);
         let mut slot_addressed = false;
-        if self.coherence != CoherenceMode::Off && items > 1 {
+        if coherent && items > 1 {
             self.keys.clear();
             self.keys
                 .extend((0..items).map(|item| query.sort_key(item)));
@@ -332,7 +335,6 @@ impl<S: Default> WavefrontScheduler<S> {
         self.active.clear();
         self.active.extend(0..items);
         crate::fault::scramble_checkpoint(&mut self.active);
-        let bucketed = self.coherence == CoherenceMode::SortAndCompact;
         // Which bucket trains build into directly (the other side pays a move-out copy); adapted
         // per tile to the observed mix so the copy always lands on the minority opcode.  `false`
         // to start: a traversal run's first pass is all root box beats.
@@ -383,7 +385,7 @@ impl<S: Default> WavefrontScheduler<S> {
                     // intact (per-item beat order unchanged) and ray beats are stateless — only
                     // the accumulator-chained distance beats order across items, and those are
                     // never bucketed.
-                    let out = if bucketed && tri_direct {
+                    let out = if coherent && tri_direct {
                         &mut self.deferred
                     } else {
                         &mut self.requests
@@ -394,7 +396,7 @@ impl<S: Default> WavefrontScheduler<S> {
                             out.len() > before,
                             "{kind} query item {index} stayed active without appending a beat",
                         );
-                        if bucketed {
+                        if coherent {
                             if tri_direct {
                                 if self.deferred[before..]
                                     .iter()
@@ -421,7 +423,7 @@ impl<S: Default> WavefrontScheduler<S> {
                         still_active += 1;
                     } else {
                         debug_assert_eq!(
-                            if bucketed && tri_direct {
+                            if coherent && tri_direct {
                                 self.deferred.len()
                             } else {
                                 self.requests.len()
@@ -719,7 +721,7 @@ impl<Q: BatchQuery> FusedStream for StreamRunner<Q> {
         let pass_start = out.len();
         self.beat_owner.clear();
         debug_assert!(self.deferred.is_empty());
-        let bucketed = self.coherence == CoherenceMode::SortAndCompact;
+        let bucketed = self.coherence != CoherenceMode::Off;
         let total = self.active.len();
         let mut still_active = 0;
         let mut processed = 0;

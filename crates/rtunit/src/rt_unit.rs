@@ -275,23 +275,6 @@ impl RtUnit {
         (hits, stats)
     }
 
-    /// One OS thread per modelled RT unit, sharded contiguously.
-    #[deprecated(
-        note = "renamed to RtUnit::trace_rays_multi_unit (no execution-mode names on \
-                         non-policy methods)"
-    )]
-    #[must_use]
-    pub fn trace_rays_parallel(
-        pipeline: PipelineConfig,
-        config: RtUnitConfig,
-        bvh: &Bvh4,
-        triangles: &[Triangle],
-        rays: &[Ray],
-        units: usize,
-    ) -> (Vec<Option<TraversalHit>>, RtUnitStats) {
-        Self::trace_rays_multi_unit(pipeline, config, bvh, triangles, rays, units)
-    }
-
     /// Advances one ray by one datapath transaction.
     fn step_ray(
         datapath: &mut RayFlexDatapath,

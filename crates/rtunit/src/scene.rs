@@ -470,9 +470,7 @@ pub(crate) fn handle_index(handle: u64) -> usize {
 }
 
 /// A borrowed, `Copy` view of a scene — what the traversal internals, the parallel shard
-/// workers and the frame tracer thread through instead of a `(bvh, triangles)` pair.  The
-/// deprecated flat-signature shims construct a `Flat` view directly from their borrowed
-/// arguments, so they run without cloning geometry into a [`Scene`].
+/// workers and the frame tracer thread through instead of a `(bvh, triangles)` pair.
 #[derive(Debug, Clone, Copy)]
 pub(crate) enum SceneView<'a> {
     /// One flat BVH over one triangle list.

@@ -92,9 +92,9 @@ fn radius_queries() -> impl Strategy<Value = Vec<(Vec3, f32)>> {
 
 /// The non-reference policies of the matrix sweep, including both beat-budget edge values
 /// (`0` = unlimited, `1` = strict round-robin), a mid value, the SIMD lane widths of the
-/// lane-batched fast path (1 = plain scalar fast path, 4 and 8 engage the lane kernels) and the
-/// three coherence disciplines (the defaulted entries already run
-/// [`CoherenceMode::SortAndCompact`]; `Off` and `SortOnly` are crossed in explicitly), all over
+/// lane-batched fast path (1 = plain scalar fast path, 4 and 8 engage the lane kernels) and both
+/// coherence disciplines (the defaulted entries already run [`CoherenceMode::SortAndCompact`];
+/// `Off` is crossed in explicitly), all over
 /// the dispatch modes they feed (wavefront, the work-stealing parallel pool, and fused —
 /// including fused under a strict beat budget).
 fn swept_policies() -> Vec<ExecPolicy> {
@@ -103,27 +103,19 @@ fn swept_policies() -> Vec<ExecPolicy> {
         ExecPolicy::wavefront().with_simd_lanes(4),
         ExecPolicy::wavefront().with_simd_lanes(8),
         ExecPolicy::wavefront().with_coherence(CoherenceMode::Off),
-        ExecPolicy::wavefront()
-            .with_coherence(CoherenceMode::SortOnly)
-            .with_simd_lanes(8),
         ExecPolicy::parallel(3),
         ExecPolicy::parallel(3).with_simd_lanes(8),
         ExecPolicy::parallel(3)
             .with_coherence(CoherenceMode::Off)
             .with_simd_lanes(4),
         ExecPolicy::parallel_auto(),
-        ExecPolicy::parallel_auto().with_coherence(CoherenceMode::SortOnly),
         ExecPolicy::fused(),
         ExecPolicy::fused().with_simd_lanes(4),
-        ExecPolicy::fused().with_coherence(CoherenceMode::SortOnly),
         ExecPolicy::fused()
             .with_coherence(CoherenceMode::Off)
             .with_simd_lanes(8),
         ExecPolicy::fused().with_beat_budget(1),
         ExecPolicy::fused().with_beat_budget(1).with_simd_lanes(8),
-        ExecPolicy::fused()
-            .with_beat_budget(1)
-            .with_coherence(CoherenceMode::SortOnly),
         ExecPolicy::fused().with_beat_budget(4),
         ExecPolicy::fused()
             .with_beat_budget(4)

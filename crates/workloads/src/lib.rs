@@ -22,7 +22,6 @@
 #![cfg_attr(test, allow(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod adversarial;
-pub mod mixed;
 pub mod rays;
 pub mod scenes;
 pub mod stimulus;

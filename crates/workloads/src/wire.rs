@@ -1,6 +1,7 @@
 //! The `rayflex-server` wire protocol: a small length-prefixed binary framing for trace /
 //! any-hit / kNN / radius requests against named preloaded scenes, shared by the server's
-//! ingress, the `loadgen` client and the protocol proptests.
+//! ingress, its clients (the tests and the `perfbench` load generator) and the protocol
+//! proptests.
 //!
 //! # Frame layout
 //!
@@ -629,8 +630,8 @@ pub fn read_frame(from: &mut impl Read) -> Result<Vec<u8>, WireError> {
     Ok(payload)
 }
 
-/// A blocking protocol client over one TCP connection — what `loadgen`'s worker threads and the
-/// server's own tests speak through.
+/// A blocking protocol client over one TCP connection — what the server's own tests and the
+/// `perfbench` load generator speak through.
 #[derive(Debug)]
 pub struct WireClient {
     stream: TcpStream,
@@ -693,7 +694,7 @@ impl WireClient {
 
 pub mod catalog {
     //! The named workload catalog both ends of the protocol agree on: the server preloads every
-    //! entry at startup, `loadgen` generates requests against the same names, and the
+    //! entry at startup, clients generate requests against the same names, and the
     //! bit-identity tests rebuild the identical inputs library-side.  Everything is
     //! deterministic — same name, same geometry, bit for bit.
 
