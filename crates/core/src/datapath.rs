@@ -349,10 +349,10 @@ impl RayFlexDatapath {
     /// Executes a batch of beats in order, writing the responses into a caller-owned buffer.
     ///
     /// The buffer is cleared first and its capacity is reused, so a caller streaming many batches
-    /// (the wavefront traversal loop of `rayflex-rtunit`, for example) allocates responses once
-    /// and amortises them across every subsequent dispatch.  Like
+    /// allocates responses once and amortises them across every subsequent dispatch.  Like
     /// [`RayFlexDatapath::execute_batch`], the beats run on the native fast model and produce
-    /// bit-identical responses to the per-beat emulated path.
+    /// bit-identical responses to the per-beat emulated path.  The beats count toward the
+    /// per-opcode [`BeatMix`] totals only (no query kind, no pass).
     ///
     /// # Panics
     ///
@@ -364,35 +364,41 @@ impl RayFlexDatapath {
     ) {
         responses.clear();
         responses.reserve(requests.len());
-        self.fast_run(requests, None, responses);
+        self.fast_run(requests, &[], responses);
     }
 
     /// The shared bulk dispatch loop: admits every beat and executes it on the native fast model,
-    /// grouping adjacent beats into the lane-batched kernels when the SIMD width allows.
+    /// grouping adjacent beats into the lane-batched kernels when the SIMD width allows.  Each
+    /// beat is attributed to its `segments` entry's [`QueryKind`] (an empty table attributes
+    /// nothing), but grouping scans the whole request slice, so same-opcode runs and box groups
+    /// cross segment boundaries — only the lane-occupancy counters see the coalescing.
     ///
-    /// Grouping relies on the scheduler adjacency the bulk interfaces already guarantee — a
-    /// wavefront pass emits one beat per active item, so items in the same traversal phase sit
-    /// next to each other.  Ray–box beats vectorise *within* one beat (its four AABBs are one
-    /// lane quartet) and *across* adjacent beats (up to `simd_lanes / 4` quartets share one
-    /// issue); ray–triangle beats vectorise *across* adjacent beats (runs of up to `simd_lanes`
+    /// Grouping relies on the scheduler adjacency the bulk interfaces already guarantee — a pass
+    /// emits one beat train per active item, so items in the same traversal phase sit next to
+    /// each other.  Ray–box beats vectorise *within* one beat (its four AABBs are one lane
+    /// quartet) and *across* adjacent beats (up to `simd_lanes / 4` quartets share one issue);
+    /// ray–triangle beats vectorise *across* adjacent beats (runs of up to `simd_lanes`
     /// same-opcode requests share one kernel invocation); distance beats chain through the
     /// accumulators and always run scalar.  Every grouping is bit-identical to the per-beat path.
     fn fast_run(
         &mut self,
         requests: &[RayFlexRequest],
-        kind: Option<QueryKind>,
+        segments: &[(QueryKind, usize)],
         responses: &mut Vec<RayFlexResponse>,
     ) {
         if self.simd_lanes < 4 {
-            for request in requests {
-                self.admit(request, kind);
-                responses.push(crate::fastpath::execute_fast(
-                    request,
-                    &mut self.accumulators,
-                ));
+            // No lane grouping: each segment's beats run with their kind fixed.
+            if segments.is_empty() {
+                self.scalar_run(requests, None, responses);
+            }
+            let mut start = 0;
+            for &(kind, len) in segments {
+                self.scalar_run(&requests[start..start + len], Some(kind), responses);
+                start += len;
             }
             return;
         }
+        let mut cursor = SegmentCursor::new(segments);
         let mut index = 0;
         while index < requests.len() {
             let request = &requests[index];
@@ -407,7 +413,7 @@ impl RayFlexDatapath {
                         end += 1;
                     }
                     for request in &requests[index..end] {
-                        self.admit(request, kind);
+                        self.admit(request, cursor.take_one());
                     }
                     self.issue_box_group(&requests[index..end], responses);
                     index = end;
@@ -418,15 +424,18 @@ impl RayFlexDatapath {
                     while end < limit && requests[end].opcode == Opcode::RayTriangle {
                         end += 1;
                     }
-                    self.admit_triangle_run((end - index) as u64, kind);
+                    let run = end - index;
+                    cursor.take_run(run, |kind, count| {
+                        self.admit_triangle_run(count as u64, kind);
+                    });
                     let (busy, slots) =
-                        crate::fastpath::triangle_lane_accounting(end - index, self.simd_lanes);
+                        crate::fastpath::triangle_lane_accounting(run, self.simd_lanes);
                     self.mix.record_lanes(busy, slots);
                     crate::fastpath::execute_fast_triangles(&requests[index..end], responses);
                     index = end;
                 }
                 Opcode::Euclidean | Opcode::Cosine => {
-                    self.admit(request, kind);
+                    self.admit(request, cursor.take_one());
                     responses.push(crate::fastpath::execute_fast(
                         request,
                         &mut self.accumulators,
@@ -434,6 +443,22 @@ impl RayFlexDatapath {
                     index += 1;
                 }
             }
+        }
+    }
+
+    /// The per-beat scalar fast path over beats of one kind attribution.
+    fn scalar_run(
+        &mut self,
+        requests: &[RayFlexRequest],
+        kind: Option<QueryKind>,
+        responses: &mut Vec<RayFlexResponse>,
+    ) {
+        for request in requests {
+            self.admit(request, kind);
+            responses.push(crate::fastpath::execute_fast(
+                request,
+                &mut self.accumulators,
+            ));
         }
     }
 
@@ -487,11 +512,55 @@ impl RayFlexDatapath {
     /// earns its device utilisation — dispatching each segment alone issues the same beats at a
     /// fraction of the lane occupancy ([`BeatMix::simd_lane_occupancy`]).
     ///
+    /// Equivalent to [`RayFlexDatapath::record_pass`] followed by one
+    /// [`RayFlexDatapath::execute_segmented_chunk`] over the whole pass.
+    ///
     /// # Panics
     ///
     /// Panics if the segment lengths do not sum to `requests.len()`, or if any beat's opcode is
     /// unsupported (see [`RayFlexDatapath::execute`]).
     pub fn execute_batch_segmented(
+        &mut self,
+        requests: &[RayFlexRequest],
+        segments: &[(QueryKind, usize)],
+        responses: &mut Vec<RayFlexResponse>,
+    ) {
+        self.record_pass(segments);
+        self.execute_segmented_chunk(requests, segments, responses);
+    }
+
+    /// Counts one logical bulk pass without executing any beats: `segments` lists each stream's
+    /// `(kind, beat_count)` over the whole pass.  Increments [`BeatMix::passes`], and
+    /// [`BeatMix::fused_passes`] when the non-empty segments span at least two distinct kinds.
+    ///
+    /// A tiling scheduler keeps its pass buffers cache-resident by dispatching one logical pass
+    /// as several small chunks ([`RayFlexDatapath::execute_segmented_chunk`]); it records the
+    /// pass once through here, so the pass counters match one
+    /// [`RayFlexDatapath::execute_batch_segmented`] call over the whole pass exactly.
+    pub fn record_pass(&mut self, segments: &[(QueryKind, usize)]) {
+        self.mix.passes += 1;
+        let mut kinds = segments
+            .iter()
+            .filter(|&&(_, len)| len > 0)
+            .map(|&(kind, _)| kind);
+        if let Some(first) = kinds.next() {
+            if kinds.any(|kind| kind != first) {
+                self.mix.fused_passes += 1;
+            }
+        }
+    }
+
+    /// Executes one chunk of a pass recorded with [`RayFlexDatapath::record_pass`]: the beats
+    /// run on the native fast model, each attributed to its `segments` entry's kind, bit-identical
+    /// to their slice of an [`RayFlexDatapath::execute_batch_segmented`] call — but no pass is
+    /// counted.  Lane grouping restarts at the chunk boundary, which only moves where
+    /// same-opcode runs split, never a response value.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the segment lengths do not sum to `requests.len()`, or if any beat's opcode is
+    /// unsupported (see [`RayFlexDatapath::execute`]).
+    pub fn execute_segmented_chunk(
         &mut self,
         requests: &[RayFlexRequest],
         segments: &[(QueryKind, usize)],
@@ -503,135 +572,9 @@ impl RayFlexDatapath {
             requests.len(),
             "segments must cover the request batch exactly"
         );
-        self.passes_accounting(segments);
         responses.clear();
         responses.reserve(requests.len());
-        self.fast_run_segmented(requests, segments, responses);
-    }
-
-    /// [`RayFlexDatapath::fast_run`] over a merged multi-segment pass: each beat is attributed
-    /// to its segment's [`QueryKind`], but lane grouping scans the whole request slice, so
-    /// same-opcode runs and box groups cross segment boundaries.  Grouping never moves a response
-    /// value (every kernel tier is bit-identical to the per-beat path), and the per-kind beat
-    /// attribution is identical to dispatching each segment through its own
-    /// [`RayFlexDatapath::fast_run`] — only the lane-occupancy counters see the coalescing.
-    fn fast_run_segmented(
-        &mut self,
-        requests: &[RayFlexRequest],
-        segments: &[(QueryKind, usize)],
-        responses: &mut Vec<RayFlexResponse>,
-    ) {
-        let mut cursor = SegmentCursor::new(segments);
-        if self.simd_lanes < 4 {
-            for request in requests {
-                let kind = cursor.take_one();
-                self.admit(request, Some(kind));
-                responses.push(crate::fastpath::execute_fast(
-                    request,
-                    &mut self.accumulators,
-                ));
-            }
-            return;
-        }
-        let mut index = 0;
-        while index < requests.len() {
-            let request = &requests[index];
-            match request.opcode {
-                Opcode::RayBox => {
-                    let limit = (index + (self.simd_lanes / 4).max(1)).min(requests.len());
-                    let mut end = index + 1;
-                    while end < limit && requests[end].opcode == Opcode::RayBox {
-                        end += 1;
-                    }
-                    for request in &requests[index..end] {
-                        let kind = cursor.take_one();
-                        self.admit(request, Some(kind));
-                    }
-                    self.issue_box_group(&requests[index..end], responses);
-                    index = end;
-                }
-                Opcode::RayTriangle => {
-                    let limit = (index + self.simd_lanes).min(requests.len());
-                    let mut end = index + 1;
-                    while end < limit && requests[end].opcode == Opcode::RayTriangle {
-                        end += 1;
-                    }
-                    let run = end - index;
-                    cursor.take_run(run, |kind, count| {
-                        self.admit_triangle_run(count as u64, Some(kind));
-                    });
-                    let (busy, slots) =
-                        crate::fastpath::triangle_lane_accounting(run, self.simd_lanes);
-                    self.mix.record_lanes(busy, slots);
-                    crate::fastpath::execute_fast_triangles(&requests[index..end], responses);
-                    index = end;
-                }
-                Opcode::Euclidean | Opcode::Cosine => {
-                    let kind = cursor.take_one();
-                    self.admit(request, Some(kind));
-                    responses.push(crate::fastpath::execute_fast(
-                        request,
-                        &mut self.accumulators,
-                    ));
-                    index += 1;
-                }
-            }
-        }
-    }
-
-    /// Counts one logical bulk pass without executing any beats — the accounting half of the
-    /// chunked dispatch interface ([`RayFlexDatapath::execute_pass_chunk`]).
-    ///
-    /// A tiling scheduler keeps its pass buffers cache-resident by dispatching one logical pass
-    /// as several small chunks; it records the pass once through here (per-kind pass counters and
-    /// fused-pass detection behave exactly as one [`RayFlexDatapath::execute_batch_segmented`]
-    /// call over the whole pass would) and then executes each chunk beat-account-only through
-    /// [`RayFlexDatapath::execute_pass_chunk`].
-    pub fn record_pass(&mut self, segments: &[(QueryKind, usize)]) {
-        self.passes_accounting(segments);
-    }
-
-    /// Executes one chunk of a pass recorded with [`RayFlexDatapath::record_pass`]: the beats
-    /// run on the native fast model attributed to `kind`, bit-identical to their slice of an
-    /// [`RayFlexDatapath::execute_batch_segmented`] call, but no pass is counted.  Lane grouping
-    /// restarts at the chunk boundary, which only moves where same-opcode runs split — never a
-    /// response value.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any beat's opcode is unsupported (see [`RayFlexDatapath::execute`]).
-    pub fn execute_pass_chunk(
-        &mut self,
-        requests: &[RayFlexRequest],
-        kind: QueryKind,
-        responses: &mut Vec<RayFlexResponse>,
-    ) {
-        responses.clear();
-        responses.reserve(requests.len());
-        self.fast_run(requests, Some(kind), responses);
-    }
-
-    /// Counts one segmented pass, detecting whether its non-empty segments mix distinct kinds.
-    fn passes_accounting(&mut self, segments: &[(QueryKind, usize)]) {
-        self.mix.passes += 1;
-        let mut first_kind = None;
-        let mut fused = false;
-        for &(kind, len) in segments {
-            if len == 0 {
-                continue;
-            }
-            match first_kind {
-                None => first_kind = Some(kind),
-                Some(k) if k != kind => {
-                    fused = true;
-                    break;
-                }
-                Some(_) => {}
-            }
-        }
-        if fused {
-            self.mix.fused_passes += 1;
-        }
+        self.fast_run(requests, segments, responses);
     }
 
     /// Executes a batch of beats through the recoded-format stage emulation (the same path as
@@ -649,45 +592,53 @@ impl RayFlexDatapath {
 
 /// Walks a pass's `(kind, len)` segment table alongside the merged request slice, yielding the
 /// owning [`QueryKind`] of each beat in request order — the attribution side of
-/// [`RayFlexDatapath::fast_run_segmented`]'s cross-segment lane grouping.
+/// [`RayFlexDatapath::fast_run`]'s cross-segment lane grouping.  An empty table attributes every
+/// beat to no kind (the unattributed bulk interface).
 struct SegmentCursor<'a> {
-    segments: &'a [(QueryKind, usize)],
-    segment: usize,
-    consumed: usize,
+    /// Segments not yet entered.
+    rest: &'a [(QueryKind, usize)],
+    /// Kind of the current segment (`None` for an unattributed dispatch).
+    kind: Option<QueryKind>,
+    /// Beats left in the current segment.
+    left: usize,
 }
 
 impl<'a> SegmentCursor<'a> {
     fn new(segments: &'a [(QueryKind, usize)]) -> Self {
         SegmentCursor {
-            segments,
-            segment: 0,
-            consumed: 0,
+            rest: segments,
+            kind: None,
+            left: if segments.is_empty() { usize::MAX } else { 0 },
+        }
+    }
+
+    /// Enters the next non-empty segment once the current one is used up.
+    fn refill(&mut self) {
+        while self.left == 0 {
+            let Some((&(kind, len), rest)) = self.rest.split_first() else {
+                unreachable!("the segments cover the request batch");
+            };
+            self.rest = rest;
+            self.kind = Some(kind);
+            self.left = len;
         }
     }
 
     /// The kind owning the next beat.
-    fn take_one(&mut self) -> QueryKind {
-        while self.consumed == self.segments[self.segment].1 {
-            self.segment += 1;
-            self.consumed = 0;
-        }
-        self.consumed += 1;
-        self.segments[self.segment].0
+    fn take_one(&mut self) -> Option<QueryKind> {
+        self.refill();
+        self.left -= 1;
+        self.kind
     }
 
     /// Splits a run of `count` beats into its per-segment `(kind, span)` pieces, in order.
-    fn take_run(&mut self, count: usize, mut span: impl FnMut(QueryKind, usize)) {
-        let mut left = count;
-        while left > 0 {
-            while self.consumed == self.segments[self.segment].1 {
-                self.segment += 1;
-                self.consumed = 0;
-            }
-            let (kind, len) = self.segments[self.segment];
-            let take = left.min(len - self.consumed);
-            self.consumed += take;
-            left -= take;
-            span(kind, take);
+    fn take_run(&mut self, mut count: usize, mut span: impl FnMut(Option<QueryKind>, usize)) {
+        while count > 0 {
+            self.refill();
+            let take = count.min(self.left);
+            self.left -= take;
+            count -= take;
+            span(self.kind, take);
         }
     }
 }

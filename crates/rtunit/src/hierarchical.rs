@@ -24,7 +24,7 @@ use rayflex_geometry::{Ray, Sphere, Vec3};
 
 use crate::error::{PartialResult, QueryError, QueryOutcome};
 use crate::policy::{ExecMode, ExecPolicy};
-use crate::query::{BatchQuery, FusedScheduler, QueryKind, StreamRunner, WavefrontScheduler};
+use crate::query::{BatchQuery, FusedScheduler, QueryKind, RunnerArena, StreamRunner};
 use crate::{Bvh4, Bvh4Node, KnnEngine, Neighbor};
 
 /// Statistics of one hierarchical query.
@@ -70,9 +70,9 @@ impl HierarchicalStats {
 }
 
 /// Per-query state of a batched candidate-collection run: the filter ray, the inflation radius,
-/// the traversal stack and the candidates collected so far.  Pooled by the scheduler.
+/// the traversal stack and the candidates collected so far.  Pooled by the engine's runner arena.
 #[derive(Debug, Default)]
-pub struct CollectWork {
+pub(crate) struct CollectWork {
     ray: Option<Ray>,
     radius: f32,
     stack: Vec<usize>,
@@ -234,9 +234,10 @@ pub struct HierarchicalSearch {
     spheres: Vec<Sphere>,
     bvh: Bvh4,
     scorer: KnnEngine,
-    /// Scheduler of the candidate-collection query kind (its `CollectWork` pool is recycled
-    /// across queries).
-    collector: WavefrontScheduler<CollectWork>,
+    /// Runs the candidate-collection filter (one collect stream per run).
+    fused: FusedScheduler,
+    /// Pooled storage of the collect stream's runner, recycled across query batches.
+    arena: RunnerArena<CollectWork>,
     stats: HierarchicalStats,
     /// Work-stealing pool counters of the parallel filter phase (the scoring phase's counters
     /// live on the embedded [`KnnEngine`]; [`HierarchicalSearch::pool_stats`] merges both).
@@ -268,7 +269,8 @@ impl HierarchicalSearch {
             spheres,
             bvh,
             scorer: KnnEngine::with_config(config),
-            collector: WavefrontScheduler::new(),
+            fused: FusedScheduler::new(),
+            arena: RunnerArena::default(),
             stats: HierarchicalStats {
                 dataset_size,
                 ..HierarchicalStats::default()
@@ -589,46 +591,33 @@ impl HierarchicalSearch {
         }))
     }
 
-    /// The deadline-capped sibling of the filter phase: the same per-mode dispatch disciplines
-    /// as [`HierarchicalSearch::filter_candidates_batch`], cancelled cooperatively at pass
-    /// boundaries.  Returns the per-query candidate lists of the completed prefix, the beats
-    /// spent, and whether every query's walk finished.  Capped runs filter inline on the
-    /// scorer's datapath in every mode — cooperative cancellation is a single-unit admission
-    /// discipline, so [`ExecMode::Parallel`] does not shard under a deadline.
+    /// The single-unit filter phase: one collect stream run under `policy` on the scorer's
+    /// datapath, cancelled cooperatively at a pass boundary once `cap` beats are spent (`0` =
+    /// uncapped).  Returns the per-query candidate lists of the completed prefix, the beats
+    /// spent, and whether every query's walk finished.  Capped runs filter inline in every
+    /// mode — cooperative cancellation is a single-unit admission discipline, so
+    /// [`ExecMode::Parallel`] does not shard under a deadline.
     fn filter_candidates_capped(
         &mut self,
         queries: &[(Vec3, f32)],
         policy: &ExecPolicy,
         cap: u64,
     ) -> (Vec<Vec<usize>>, u64, bool) {
-        match policy.mode {
-            ExecMode::Wavefront | ExecMode::Parallel { .. } => {
-                let mut collect = CollectQuery::new(&self.bvh, queries);
-                let run = self
-                    .collector
-                    .run_capped(self.scorer.datapath_mut(), &mut collect, cap);
-                self.stats.box_beats += collect.box_beats;
-                (run.outputs, run.beats, run.complete)
-            }
-            ExecMode::ScalarReference | ExecMode::Fused => {
-                let mut runner = StreamRunner::new(CollectQuery::new(&self.bvh, queries));
-                let mut fused =
-                    FusedScheduler::new().with_beat_budget(if policy.mode == ExecMode::Fused {
-                        policy.beat_budget_per_stream
-                    } else {
-                        0
-                    });
-                fused.set_admission_order(policy.admission_order);
-                let run = if policy.mode == ExecMode::ScalarReference {
-                    fused.run_reference_capped(self.scorer.datapath_mut(), &mut [&mut runner], cap)
-                } else {
-                    fused.run_capped(self.scorer.datapath_mut(), &mut [&mut runner], cap)
-                };
-                let (collect, outputs, _total) = runner.finish_partial();
-                self.stats.box_beats += collect.box_beats;
-                (outputs, run.beats, run.complete)
-            }
-        }
+        let mut runner = StreamRunner::with_arena(
+            CollectQuery::new(&self.bvh, queries),
+            core::mem::take(&mut self.arena),
+        );
+        let run = self.fused.run_policy(
+            self.scorer.datapath_mut(),
+            &mut [&mut runner],
+            policy,
+            &[],
+            cap,
+        );
+        let (collect, candidates, _, arena) = runner.into_parts();
+        self.arena = arena;
+        self.stats.box_beats += collect.box_beats;
+        (candidates, run.beats, run.complete)
     }
 
     /// The deadline-capped sibling of [`HierarchicalSearch::score_candidates`]: `None` when
@@ -681,37 +670,10 @@ impl HierarchicalSearch {
         queries: &[(Vec3, f32)],
         policy: &ExecPolicy,
     ) -> Vec<Vec<usize>> {
-        match policy.mode {
-            ExecMode::Wavefront => {
-                let mut collect = CollectQuery::new(&self.bvh, queries);
-                let candidates = self.collector.run(self.scorer.datapath_mut(), &mut collect);
-                self.stats.box_beats += collect.box_beats;
-                candidates
-            }
-            ExecMode::ScalarReference | ExecMode::Fused => {
-                let mut runner = StreamRunner::new(CollectQuery::new(&self.bvh, queries));
-                // The beat budget is a Fused-mode knob; every other mode ignores it (the
-                // documented `ExecPolicy` contract).
-                let mut fused =
-                    FusedScheduler::new().with_beat_budget(if policy.mode == ExecMode::Fused {
-                        policy.beat_budget_per_stream
-                    } else {
-                        0
-                    });
-                fused.set_admission_order(policy.admission_order);
-                if policy.mode == ExecMode::ScalarReference {
-                    fused.run_reference(self.scorer.datapath_mut(), &mut [&mut runner]);
-                } else {
-                    fused.run(self.scorer.datapath_mut(), &mut [&mut runner]);
-                }
-                let (collect, candidates) = runner.finish();
-                self.stats.box_beats += collect.box_beats;
-                candidates
-            }
-            ExecMode::Parallel { shards } => {
-                self.filter_candidates_parallel(queries, shards.requested_threads())
-            }
+        if let ExecMode::Parallel { shards } = policy.mode {
+            return self.filter_candidates_parallel(queries, shards.requested_threads());
         }
+        self.filter_candidates_capped(queries, policy, 0).0
     }
 
     /// The parallel filter backend: contiguous query shards, each walked through a private
@@ -727,9 +689,9 @@ impl HierarchicalSearch {
         let Some((shards, pool)) =
             crate::parallel::shard_chunks(queries, threads, Self::MIN_QUERIES_PER_SHARD, |shard| {
                 let mut datapath = RayFlexDatapath::new(config);
-                let mut scheduler: WavefrontScheduler<CollectWork> = WavefrontScheduler::new();
-                let mut collect = CollectQuery::new(bvh, shard);
-                let candidates = scheduler.run(&mut datapath, &mut collect);
+                let mut runner = StreamRunner::new(CollectQuery::new(bvh, shard));
+                FusedScheduler::new().run(&mut datapath, &mut [&mut runner]);
+                let (collect, candidates) = runner.finish();
                 (candidates, collect.box_beats)
             })
         else {

@@ -1,7 +1,7 @@
 //! k-nearest-neighbour search on the extended datapath (case study §V-A).
 //!
 //! Candidate scoring is a batched query: every candidate vector is one item of a
-//! [`QueryKind::Distance`] run through the generic wavefront scheduler.  A candidate appends its
+//! [`QueryKind::Distance`] run through the generic batched query engine.  A candidate appends its
 //! whole beat train (16-lane Euclidean or 8-lane cosine beats, accumulator reset asserted on the
 //! last) in a single build call, so the beats stay adjacent in the dispatched batch and the
 //! datapath's shared accumulator sees each candidate contiguously — which is what lets any number
@@ -20,7 +20,9 @@ use rayflex_geometry::golden::distance::{COSINE_LANES, EUCLIDEAN_LANES};
 
 use crate::error::{PartialResult, QueryError, QueryOutcome};
 use crate::policy::{ExecMode, ExecPolicy};
-use crate::query::{BatchQuery, FusedScheduler, QueryKind, StreamRunner, WavefrontScheduler};
+use crate::query::{
+    BatchQuery, CappedFusedRun, FusedScheduler, QueryKind, RunnerArena, StreamRunner,
+};
 use crate::scene::Scene;
 
 /// The distance metric used by a search.
@@ -76,7 +78,7 @@ impl KnnStats {
 
 /// Per-candidate state of a batched distance query.
 #[derive(Debug, Default)]
-pub struct DistanceWork {
+pub(crate) struct DistanceWork {
     issued: bool,
     euclidean: f32,
     dot: f32,
@@ -298,10 +300,10 @@ pub struct KnnEngine {
     /// Work-stealing pool counters accumulated across parallel scoring runs (scheduling
     /// artefacts, kept apart from the mode-invariant [`KnnStats`]).
     pool: crate::parallel::PoolStats,
-    scheduler: WavefrontScheduler<DistanceWork>,
-    /// Drives the scalar round-robin reference and fused dispatch disciplines of the policy
-    /// entry points.
+    /// Runs every single-threaded scoring run (one distance stream per run).
     fused: FusedScheduler,
+    /// Pooled storage of the distance stream's runner, recycled across runs.
+    arena: RunnerArena<DistanceWork>,
 }
 
 impl KnnEngine {
@@ -326,8 +328,8 @@ impl KnnEngine {
             datapath: RayFlexDatapath::new(config),
             stats: KnnStats::default(),
             pool: crate::parallel::PoolStats::default(),
-            scheduler: WavefrontScheduler::new(),
             fused: FusedScheduler::new(),
+            arena: RunnerArena::default(),
         }
     }
 
@@ -391,9 +393,9 @@ impl KnnEngine {
     ///
     /// * [`ExecMode::ScalarReference`] — every beat executes one at a time through the
     ///   register-accurate emulated path (the streams' round-robin reference discipline);
-    /// * [`ExecMode::Wavefront`] — candidates share bulk datapath dispatches;
-    /// * [`ExecMode::Fused`] — the same bulk passes through the fused scheduler (honouring the
-    ///   policy's beat budget);
+    /// * [`ExecMode::Wavefront`] — candidates share bulk datapath dispatches, one distance
+    ///   stream per scheduler run;
+    /// * [`ExecMode::Fused`] — the same bulk passes, honouring the policy's beat budget;
     /// * [`ExecMode::Parallel`] — the candidate set shards contiguously across workers, each
     ///   with a private datapath.
     ///
@@ -413,52 +415,66 @@ impl KnnEngine {
         metric: KnnMetric,
         policy: &ExecPolicy,
     ) -> Vec<f32> {
+        if let ExecMode::Parallel { shards } = policy.mode {
+            return self.distances_parallel(query, candidates, metric, shards.requested_threads());
+        }
+        self.score_chunks(query, candidates, metric, policy, 0).0
+    }
+
+    /// The single-threaded scoring loop of [`KnnEngine::distances`] and
+    /// [`KnnEngine::distances_capped`]: the candidate set in chunks of at most
+    /// `MAX_BEATS_PER_PASS` beats, each chunk one distance stream run under `policy`, with what
+    /// is left of `cap` (`0` = uncapped) threaded through the chunks.  Returns the distances of
+    /// the completed candidate prefix and the run's progress.
+    fn score_chunks<C: AsRef<[f32]>>(
+        &mut self,
+        query: &[f32],
+        candidates: &[C],
+        metric: KnnMetric,
+        policy: &ExecPolicy,
+        cap: u64,
+    ) -> (Vec<f32>, CappedFusedRun) {
         let lanes = match metric {
             KnnMetric::Euclidean => EUCLIDEAN_LANES,
             KnnMetric::Cosine => COSINE_LANES,
         };
         let beats_per_candidate = query.len().div_ceil(lanes).max(1);
         let chunk_len = (Self::MAX_BEATS_PER_PASS / beats_per_candidate).max(1);
-
-        if let ExecMode::Parallel { shards } = policy.mode {
-            return self.distances_parallel(query, candidates, metric, shards.requested_threads());
-        }
         self.datapath.set_simd_lanes(policy.effective_simd_lanes());
 
         let mut results = Vec::with_capacity(candidates.len());
+        let mut progress = CappedFusedRun {
+            beats: 0,
+            complete: true,
+        };
         for chunk in candidates.chunks(chunk_len) {
-            match policy.mode {
-                ExecMode::Wavefront => {
-                    let mut batch = DistanceQuery::new(query, chunk, metric);
-                    results.extend(self.scheduler.run(&mut self.datapath, &mut batch));
-                    self.stats.merge(&batch.stats);
-                }
-                ExecMode::ScalarReference | ExecMode::Fused => {
-                    let mut runner = StreamRunner::new(DistanceQuery::new(query, chunk, metric));
-                    // The beat budget is a Fused-mode knob; every other mode ignores it (the
-                    // documented `ExecPolicy` contract).
-                    self.fused
-                        .set_beat_budget(if policy.mode == ExecMode::Fused {
-                            policy.beat_budget_per_stream
-                        } else {
-                            0
-                        });
-                    self.fused.set_admission_order(policy.admission_order);
-                    self.fused.set_stream_deadlines(&[]);
-                    if policy.mode == ExecMode::ScalarReference {
-                        self.fused
-                            .run_reference(&mut self.datapath, &mut [&mut runner]);
-                    } else {
-                        self.fused.run(&mut self.datapath, &mut [&mut runner]);
-                    }
-                    let (batch, distances) = runner.finish();
-                    results.extend(distances);
-                    self.stats.merge(&batch.stats);
-                }
-                ExecMode::Parallel { .. } => unreachable!("handled above"),
+            let remaining = cap.saturating_sub(progress.beats);
+            if cap != 0 && remaining == 0 {
+                progress.complete = false;
+                break;
+            }
+            let mut runner = StreamRunner::with_arena(
+                DistanceQuery::new(query, chunk, metric),
+                core::mem::take(&mut self.arena),
+            );
+            let run = self.fused.run_policy(
+                &mut self.datapath,
+                &mut [&mut runner],
+                policy,
+                &[],
+                remaining,
+            );
+            let (batch, distances, _, arena) = runner.into_parts();
+            self.arena = arena;
+            results.extend(distances);
+            self.stats.merge(&batch.stats);
+            progress.beats += run.beats;
+            if !run.complete {
+                progress.complete = false;
+                break;
             }
         }
-        results
+        (results, progress)
     }
 
     /// The [`ExecMode::Parallel`] backend of [`KnnEngine::distances`]: contiguous candidate
@@ -605,67 +621,8 @@ impl KnnEngine {
         policy: &ExecPolicy,
     ) -> Result<QueryOutcome<Vec<f32>>, QueryError> {
         let cap = policy.max_total_beats;
-        let lanes = match metric {
-            KnnMetric::Euclidean => EUCLIDEAN_LANES,
-            KnnMetric::Cosine => COSINE_LANES,
-        };
-        let beats_per_candidate = query.len().div_ceil(lanes).max(1);
-        let chunk_len = (Self::MAX_BEATS_PER_PASS / beats_per_candidate).max(1);
-
-        let mut results = Vec::with_capacity(candidates.len());
-        let mut beats_spent = 0u64;
-        let mut complete = true;
-        for chunk in candidates.chunks(chunk_len) {
-            let remaining = cap.saturating_sub(beats_spent);
-            if remaining == 0 {
-                complete = false;
-                break;
-            }
-            let chunk_complete = match policy.mode {
-                ExecMode::Wavefront | ExecMode::Parallel { .. } => {
-                    let mut batch = DistanceQuery::new(query, chunk, metric);
-                    let run = self
-                        .scheduler
-                        .run_capped(&mut self.datapath, &mut batch, remaining);
-                    beats_spent += run.beats;
-                    results.extend(run.outputs);
-                    self.stats.merge(&batch.stats);
-                    run.complete
-                }
-                ExecMode::ScalarReference | ExecMode::Fused => {
-                    let mut runner = StreamRunner::new(DistanceQuery::new(query, chunk, metric));
-                    self.fused
-                        .set_beat_budget(if policy.mode == ExecMode::Fused {
-                            policy.beat_budget_per_stream
-                        } else {
-                            0
-                        });
-                    self.fused.set_admission_order(policy.admission_order);
-                    self.fused.set_stream_deadlines(&[]);
-                    let run = if policy.mode == ExecMode::ScalarReference {
-                        self.fused.run_reference_capped(
-                            &mut self.datapath,
-                            &mut [&mut runner],
-                            remaining,
-                        )
-                    } else {
-                        self.fused
-                            .run_capped(&mut self.datapath, &mut [&mut runner], remaining)
-                    };
-                    let (batch, outputs, _total) = runner.finish_partial();
-                    beats_spent += run.beats;
-                    results.extend(outputs);
-                    self.stats.merge(&batch.stats);
-                    run.complete
-                }
-            };
-            if !chunk_complete {
-                complete = false;
-                break;
-            }
-        }
-
-        if complete {
+        let (results, progress) = self.score_chunks(query, candidates, metric, policy, cap);
+        if progress.complete {
             return Ok(QueryOutcome::Complete(results));
         }
         if results.is_empty() {
@@ -678,7 +635,7 @@ impl KnnEngine {
             output: results,
             completed,
             total: candidates.len(),
-            beats_spent,
+            beats_spent: progress.beats,
             progress: self.beat_mix(),
         }))
     }

@@ -4,7 +4,7 @@
 //! The datapath model is deterministic and per-ray traversal state is independent, so a ray
 //! stream shards trivially: each worker owns a private [`TraversalEngine`] (and therefore a
 //! private functional datapath — ray–box and ray–triangle beats carry no cross-beat state) and
-//! traverses a contiguous chunk of the stream with the fused wavefront discipline.  Hits are
+//! traverses a contiguous chunk of the stream as a one-stream wavefront run.  Hits are
 //! returned in the caller's ray order and per-shard [`TraversalStats`] are summed, so a parallel
 //! run reports exactly the same hits and statistics as a single-threaded one — only wall-clock
 //! time changes.
@@ -280,9 +280,9 @@ pub(crate) fn shard_chunks<T: Sync, R: Send>(
 }
 
 /// One chunk of a stream-aware pair plan: the shard hint is resolved *per stream*, so a chunk
-/// never straddles the closest/any boundary — a single-kind chunk runs the plain wavefront (the
-/// fused run of a single stream reproduces the wavefront loop exactly), and early-retiring
-/// shadow chunks free their worker to steal bounce-ray chunks instead of stalling behind them.
+/// never straddles the closest/any boundary — every chunk is a one-stream wavefront run, and
+/// early-retiring shadow chunks free their worker to steal bounce-ray chunks instead of stalling
+/// behind them.
 #[derive(Debug, Clone)]
 enum PairChunk {
     /// A contiguous range of the closest-hit stream.
@@ -306,50 +306,18 @@ pub(crate) struct PairPoolTrace {
 
 /// The [`ExecMode::Parallel`](crate::ExecMode::Parallel) backend for traversal requests: plans a
 /// stream-aware chunk set over the (closest-hit, any-hit) pair and drains it through the
-/// work-stealing pool, each chunk a private engine running the batched wavefront over its slice.
+/// work-stealing pool, each chunk a private engine tracing its slice as a one-stream wavefront.
 /// Either stream may be empty and the streams may have different lengths — each stream is
-/// chunked independently.
+/// chunked independently.  The caller runs requests too small for two workers inline instead
+/// ([`pair_effective_threads`]).
 ///
 /// Returns hits in input order and summed statistics; all bit-identical to every
-/// single-threaded execution mode.
-///
-/// # Panics
-///
-/// Panics if a worker chunk panics **and** the one-shot scalar retry of its range panics too —
-/// the behaviour the pre-hardening code had for any worker panic.  Use
-/// [`fused_pair_sharded_checked`] to get the chunk index back instead.
-#[allow(clippy::too_many_arguments)] // mirrors the checked variant's full plan description
-pub(crate) fn fused_pair_sharded(
-    config: PipelineConfig,
-    view: SceneView<'_>,
-    closest_rays: &[Ray],
-    any_rays: &[Ray],
-    threads: usize,
-    simd_lanes: usize,
-    coherence: CoherenceMode,
-    stream_aware: bool,
-) -> PairPoolTrace {
-    fused_pair_sharded_checked(
-        config,
-        view,
-        closest_rays,
-        any_rays,
-        threads,
-        simd_lanes,
-        coherence,
-        stream_aware,
-    )
-    .unwrap_or_else(|shard| {
-        panic!("fused traversal worker panicked (shard {shard}) and its scalar retry failed")
-    })
-}
-
-/// [`fused_pair_sharded`] with panic isolation surfaced instead of propagated: a worker chunk
-/// that panics is retried once through the scalar reference path (bit-identical results, the
-/// fallback counted in [`TraversalStats::shard_fallbacks`]); `Err(shard)` reports the chunk
-/// index whose retry *also* panicked — the one failure this layer cannot absorb.
+/// single-threaded execution mode.  A worker chunk that panics is retried once through the
+/// scalar reference path (bit-identical results, the fallback counted in
+/// [`TraversalStats::shard_fallbacks`]); `Err(shard)` reports the chunk index whose retry *also*
+/// panicked — the one failure this layer cannot absorb.
 #[allow(clippy::too_many_arguments)] // the full shard plan: geometry, streams, budget, knobs
-pub(crate) fn fused_pair_sharded_checked(
+pub(crate) fn fused_pair_sharded(
     config: PipelineConfig,
     view: SceneView<'_>,
     closest_rays: &[Ray],
@@ -360,36 +328,6 @@ pub(crate) fn fused_pair_sharded_checked(
     stream_aware: bool,
 ) -> Result<PairPoolTrace, usize> {
     let threads = pair_effective_threads(closest_rays.len(), any_rays.len(), threads);
-    if threads <= 1 {
-        // Inline single-engine path: one fused (or single-kind wavefront) run on the calling
-        // thread — no spawn, no join, identical results.
-        let mut engine = TraversalEngine::with_config(config);
-        engine.set_simd_lanes(simd_lanes);
-        engine.set_coherence(coherence);
-        let (closest, any) = if any_rays.is_empty() {
-            (
-                engine.wavefront_closest_hits(view, closest_rays),
-                Vec::new(),
-            )
-        } else if closest_rays.is_empty() {
-            (Vec::new(), engine.wavefront_any_hits(view, any_rays))
-        } else {
-            engine.fused_pair(
-                view,
-                closest_rays,
-                any_rays,
-                0,
-                crate::policy::AdmissionOrder::Fifo,
-                [0, 0],
-            )
-        };
-        return Ok(PairPoolTrace {
-            closest,
-            any,
-            stats: engine.stats(),
-            pool: PoolStats::default(),
-        });
-    }
     // Stream-aware plan: each stream is chunked independently against the same worker budget,
     // closest chunks first.  Chunk indices — the identity `fault::shard_checkpoint` sees — are
     // fixed by this plan, not by which worker steals what.  Under `stream_aware` (the
@@ -409,15 +347,24 @@ pub(crate) fn fused_pair_sharded_checked(
                 .map(PairChunk::Any),
         )
         .collect();
+    let policy = ExecPolicy::wavefront()
+        .with_simd_lanes(simd_lanes)
+        .with_coherence(coherence);
     let (results, pool) = steal_map(&chunks, threads, |chunk| {
         let mut engine = TraversalEngine::with_config(config);
-        engine.set_simd_lanes(simd_lanes);
-        engine.set_coherence(coherence);
         let hits = match chunk {
             PairChunk::Closest(range) => {
-                engine.wavefront_closest_hits(view, &closest_rays[range.clone()])
+                let rays = &closest_rays[range.clone()];
+                engine
+                    .trace(&TraceRequest::pair_view(view, rays, &[]), &policy)
+                    .closest
             }
-            PairChunk::Any(range) => engine.wavefront_any_hits(view, &any_rays[range.clone()]),
+            PairChunk::Any(range) => {
+                let rays = &any_rays[range.clone()];
+                engine
+                    .trace(&TraceRequest::pair_view(view, &[], rays), &policy)
+                    .any
+            }
         };
         (hits, engine.stats())
     });

@@ -159,7 +159,9 @@ pub enum ExecMode {
     /// emulated datapath.  Slow, and the semantic anchor every other mode is pinned against.
     ScalarReference,
     /// The batched wavefront: the whole stream stays in flight and each pass dispatches one bulk
-    /// batch of beats through the fast model.  The single-threaded throughput mode.
+    /// batch of beats through the fast model.  Each stream of a request runs alone, as its own
+    /// one-stream [`FusedScheduler`](crate::FusedScheduler) run.  The single-threaded
+    /// throughput mode.
     #[default]
     Wavefront,
     /// The wavefront sharded across worker threads, each worker a private datapath.  Per-shard
@@ -250,7 +252,6 @@ pub struct ExecPolicy {
     /// may spend before cancelling, or `0` (the default) for no deadline.
     ///
     /// The budget is checked **at pass boundaries** (the cooperative cancellation points of
-    /// [`WavefrontScheduler`](crate::WavefrontScheduler) and
     /// [`FusedScheduler`](crate::FusedScheduler)), so a run never stops mid-pass: the first pass
     /// always executes, and the run may overshoot the budget by the beats of the pass in flight
     /// when it crossed the line.  A cancelled run returns a typed partial result — the outputs

@@ -1,42 +1,35 @@
-//! The generic batched query engine: one wavefront scheduler for every query kind the RT unit
-//! supports.
+//! The generic batched query engine: one tiled pass loop for every query kind and every batched
+//! execution mode.
 //!
-//! PR 1 introduced a throughput-oriented wavefront frontend for closest-hit traversal: keep a
-//! whole stream of queries in flight, build one request buffer per pass, dispatch it through
-//! [`RayFlexDatapath::execute_batch_into`] in bulk, apply the responses, repeat until every query
-//! retires.  That scheduling core is independent of *what* is being queried — the same loop
-//! drives closest-hit rays, any-hit/shadow rays, primary-ray rendering and distance scoring —
-//! so this module extracts it into a reusable pair:
+//! Two pieces make up the engine:
 //!
 //! * [`BatchQuery`] — the per-item state machine a query kind implements: how to initialise an
 //!   item, which beats it wants next, how a response advances it, and what it yields when it
 //!   retires;
-//! * [`WavefrontScheduler`] — the engine that owns the pooled per-item states and the reusable
-//!   request/response/ownership buffers and runs any [`BatchQuery`] to completion against a
-//!   datapath.
+//! * [`FusedScheduler`] — the pass loop.  It runs any number of type-erased [`FusedStream`]s —
+//!   [`BatchQuery`] implementations wrapped in [`StreamRunner`]s, possibly of *different* query
+//!   kinds — to completion over one datapath.  Every pass, each stream builds the beats of its
+//!   active items, the merged beats dispatch in bulk, and each stream gets its own responses
+//!   back.  Items retire in place, and the run ends when no stream has items left.
 //!
-//! Consumers instantiate the scheduler once and reuse it: a steady-state stream performs no
-//! per-item allocation, exactly as the hand-rolled wavefront loop did.  Because the scheduler
-//! preserves each item's own beat order (an item's beats are built in sequence, and the beats an
-//! item appends within one pass stay adjacent in the batch), every query kind retains the
-//! semantics — and, where a scalar reference exists, the bit-identical results and statistics —
-//! of its scalar drive loop.
+//! A single-kind wavefront is simply a one-stream run; a fused run merges several streams into
+//! shared mixed-kind passes.  Because each stream's own build/apply order is independent of
+//! what else shares the pass (segments are contiguous, and no datapath state crosses segment
+//! boundaries mid-item), every stream's outputs and statistics are bit-identical however the
+//! streams are grouped — pinned by `rtunit/tests/proptest_fused.rs` and by the scalar
+//! round-robin reference mode ([`FusedScheduler::run_reference`]).
 //!
-//! Multi-beat accumulator jobs (the Euclidean/cosine distance operations) are safe under
-//! interleaving *between* items precisely because of that adjacency guarantee: a distance query
-//! appends all beats of one candidate in a single [`BatchQuery::build`] call, so the shared
+//! Each item's own beat order is preserved: an item's beats are built in sequence, and the beats
+//! one [`BatchQuery::build`] call appends stay adjacent in the batch.  So every query kind keeps
+//! the semantics — and, where a scalar reference exists, the bit-identical results and
+//! statistics — of its scalar drive loop.  Multi-beat accumulator jobs (the Euclidean/cosine
+//! distance operations) are safe under interleaving *between* items for the same reason: a
+//! distance query appends all beats of one candidate in a single build call, so the shared
 //! accumulator sees each candidate's beat train contiguously and resets at its end, no matter
 //! how many unrelated items share the pass.
 //!
-//! On top of the single-stream scheduler sits the **fused** layer: [`FusedScheduler`] owns any
-//! number of type-erased [`FusedStream`]s — heterogeneous query kinds wrapped in
-//! [`StreamRunner`]s — and merges their per-pass beats into *shared mixed-opcode bulk passes*
-//! over one datapath, demuxing the responses back per stream.  Because each stream's own
-//! build/apply order is exactly what it would be under a private [`WavefrontScheduler`] run (the
-//! fused pass merely concatenates per-stream segments, and no datapath state crosses segment
-//! boundaries mid-item), every stream's outputs and statistics are bit-identical to sequential
-//! scheduling — pinned by `rtunit/tests/proptest_fused.rs` and by the scalar round-robin
-//! reference mode ([`FusedScheduler::run_reference`]).
+//! Engines keep one scheduler and lend each run's runner a pooled arena of per-item states and
+//! buffers, so a steady-state stream performs no per-item allocation.
 
 use rayflex_core::{Opcode, RayFlexDatapath, RayFlexRequest, RayFlexResponse};
 
@@ -118,7 +111,7 @@ pub trait BatchQuery {
     }
 }
 
-/// Flush threshold (in beats) of the schedulers' tiled pass dispatch: one logical pass is built,
+/// Flush threshold (in beats) of the scheduler's tiled pass dispatch: one logical pass is built,
 /// dispatched and applied in tiles of roughly this many beats, so the request/response buffers
 /// stay cache-resident instead of streaming a whole multi-thousand-beat pass through memory
 /// three times (build-write, dispatch-read, apply-read).  Tiles flush only at item boundaries —
@@ -129,27 +122,7 @@ pub trait BatchQuery {
 /// more lane runs at tile boundaries, larger ones fall out of L2).
 const PASS_TILE_BEATS: usize = 1024;
 
-/// The result of a deadline-capped scheduler run ([`WavefrontScheduler::run_capped`]): the
-/// outputs of the longest fully-retired item prefix, plus how far the run got.
-///
-/// The prefix discipline makes a cancelled run safe to consume: an item either appears with its
-/// complete output — bit-identical to what the uncapped run returns for it, because
-/// cancellation never alters a surviving item's beat sequence — or not at all.  Items that
-/// happened to retire beyond the first still-active item are discarded rather than surfaced out
-/// of order.
-#[derive(Debug)]
-pub struct CappedRun<T> {
-    /// Outputs of the retired prefix, in item order (`total` outputs when `complete`).
-    pub outputs: Vec<T>,
-    /// Items the run was admitted with.
-    pub total: usize,
-    /// Beats the run dispatched before finishing or cancelling.
-    pub beats: u64,
-    /// `true` when every item retired — the cap (if any) never fired.
-    pub complete: bool,
-}
-
-/// Progress report of a deadline-capped fused run ([`FusedScheduler::run_capped`] /
+/// Progress report of a deadline-capped run ([`FusedScheduler::run_capped`] /
 /// [`FusedScheduler::run_reference_capped`]): how many beats the run spent and whether every
 /// stream drained.  A cancelled run leaves its streams mid-flight; extract each stream's
 /// completed prefix with [`StreamRunner::finish_partial`].
@@ -161,447 +134,147 @@ pub struct CappedFusedRun {
     pub complete: bool,
 }
 
-/// The wavefront scheduler: active-set management, pooled per-item state and reusable beat
-/// buffers around [`RayFlexDatapath::execute_batch_into`], generic over the query kind.
+/// The reusable storage of one [`StreamRunner`]: the pooled per-item states plus the admission,
+/// active-set and beat-owner buffers of a run.
 ///
-/// One scheduler instance serves any number of runs; its pools and buffers amortise across them.
-/// The type parameter is the pooled state, so an engine serving several query kinds with the
-/// same state type (closest-hit and any-hit traversal, say) needs only one scheduler.
-#[derive(Debug)]
-pub struct WavefrontScheduler<S> {
-    /// Pooled per-item states, recycled across runs.
-    pool: Vec<S>,
-    /// Reusable per-run state roster (one checked-out pooled state per item); parked empty
-    /// between runs so a steady-state stream never reallocates it.
+/// An engine owns one arena per stream slot and lends it to each run's runner
+/// ([`StreamRunner::with_arena`]), taking it back when the run ends
+/// ([`StreamRunner::into_parts`]).  Nothing in it shrinks, so once a warm-up run has sized it, a
+/// same-shape run allocates nothing inside the pass loop.
+#[derive(Debug, Default)]
+pub(crate) struct RunnerArena<S> {
+    /// Pooled per-item states, indexed by admission slot (`states[slot]` belongs to item
+    /// `order[slot]`); a run uses the first `items` of them and resets each before use.
     states: Vec<S>,
-    /// Reusable request buffer: one batch per pass.
-    requests: Vec<RayFlexRequest>,
-    /// Reusable response buffer, parallel to `requests` after dispatch.
-    responses: Vec<RayFlexResponse>,
-    /// Admission slot owning each in-flight beat (parallel to `requests`).
-    beat_owner: Vec<usize>,
-    /// Admission slots still in flight, always in ascending slot order (retirement compacts in
-    /// place), so the build loop walks the state roster sequentially.
+    /// Admission slots still in flight, in admission order (retirement compacts in place), so
+    /// the build loop walks the state roster sequentially.
     active: Vec<usize>,
+    /// Admission slot owning each beat of the stream's current tile segment.
+    beat_owner: Vec<usize>,
     /// The run's admission permutation: `order[slot] = item`.  Identity when coherence is off;
     /// otherwise the coherence sort of the item indices.  Results reassemble through it, so any
     /// admission order is output-identical.
     order: Vec<usize>,
-    /// Inverse of `order` (`slot_of[item] = slot`): where an item's state lives in the roster.
+    /// Inverse of `order` (`slot_of[item] = slot`).
     slot_of: Vec<usize>,
-    /// Reusable per-item coherence keys (indexed by item; filled when sorting is on).
+    /// Per-item coherence keys (indexed by item; filled when sorting is on).
     keys: Vec<u64>,
-    /// Reusable tail buffer of [`CoherenceMode::SortAndCompact`]: ray–triangle trains deferred
-    /// behind the pass's other beats (cleared every pass by the append).
+    /// Tail buffer of [`CoherenceMode::SortAndCompact`]: ray–triangle trains deferred behind the
+    /// segment's other beats (drained back at the end of every segment).
     deferred: Vec<RayFlexRequest>,
-    /// Item owning each deferred beat (parallel to `deferred`).
+    /// Admission slot owning each deferred beat (parallel to `deferred`).
     deferred_owner: Vec<usize>,
-    /// Coherence discipline of subsequent runs (see [`WavefrontScheduler::set_coherence`]).
-    coherence: CoherenceMode,
 }
 
-impl<S> Default for WavefrontScheduler<S> {
-    fn default() -> Self {
-        WavefrontScheduler {
-            pool: Vec::new(),
-            states: Vec::new(),
-            requests: Vec::new(),
-            responses: Vec::new(),
-            beat_owner: Vec::new(),
-            active: Vec::new(),
-            order: Vec::new(),
-            slot_of: Vec::new(),
-            keys: Vec::new(),
-            deferred: Vec::new(),
-            deferred_owner: Vec::new(),
-            coherence: CoherenceMode::Off,
-        }
+impl<S> RunnerArena<S> {
+    /// Number of pooled per-item states (pooling tests).
+    #[cfg(test)]
+    pub(crate) fn pooled_states(&self) -> usize {
+        self.states.len()
     }
 }
 
-impl<S: Default> WavefrontScheduler<S> {
-    /// Creates an empty scheduler (pools grow on first use).
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Sets the coherence discipline of subsequent runs (see
-    /// [`CoherenceMode`](crate::CoherenceMode)).  A directly-driven scheduler defaults to
-    /// [`CoherenceMode::Off`] — caller admission order, exactly the pre-coherence behaviour;
-    /// the policy engines wire [`ExecPolicy::coherence`](crate::ExecPolicy::coherence) through
-    /// here.  Outputs and per-item statistics are identical in every mode.
-    pub fn set_coherence(&mut self, coherence: CoherenceMode) {
-        self.coherence = coherence;
-    }
-
-    /// Number of states currently parked in the pool (diagnostics / pooling tests).
-    #[must_use]
-    pub fn pooled_states(&self) -> usize {
-        self.pool.len()
-    }
-
-    /// Runs `query` to completion against `datapath`, returning one output per item in item
-    /// order.
-    ///
-    /// Every pass builds the beats of all active items into one request buffer, dispatches them
-    /// in bulk, and applies the responses to the owning items.  Items retire in place; the run
-    /// ends when no item is active.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a beat's opcode is not supported by the datapath configuration (propagated from
-    /// [`RayFlexDatapath::execute_batch_into`]).
-    pub fn run<Q>(&mut self, datapath: &mut RayFlexDatapath, query: &mut Q) -> Vec<Q::Output>
-    where
-        Q: BatchQuery<State = S>,
-    {
-        self.run_capped(datapath, query, 0).outputs
-    }
-
-    /// Runs `query` like [`WavefrontScheduler::run`], but cooperatively cancels at the first
-    /// pass boundary where the run has spent at least `max_total_beats` datapath beats
-    /// (`0` disables the cap — the run is then identical to [`WavefrontScheduler::run`]).
-    ///
-    /// Cancellation is **cooperative**: the check sits at the top of the pass loop, so the pass
-    /// in flight when the budget crosses the line completes, and the run may overshoot the cap
-    /// by that pass's beats.  With a cap of at least one, the first pass always executes, so a
-    /// capped run always makes forward progress.  A cancelled run yields the outputs of the
-    /// longest fully-retired item prefix (see [`CappedRun`]); cancelled items' states never
-    /// surface — a mid-flight traversal's "best hit so far" is not a result.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a beat's opcode is not supported by the datapath configuration (propagated from
-    /// [`RayFlexDatapath::execute_batch_into`]).
-    pub fn run_capped<Q>(
-        &mut self,
-        datapath: &mut RayFlexDatapath,
-        query: &mut Q,
-        max_total_beats: u64,
-    ) -> CappedRun<Q::Output>
-    where
-        Q: BatchQuery<State = S>,
-    {
-        let items = query.items();
-
-        // Coherence on means both halves: sorted admission and opcode-bucketed passes.
-        let coherent = self.coherence != CoherenceMode::Off;
-
-        // Coherent admission: compute the run's admission order once — identity, or the
-        // coherence sort of the item indices by the query's key (ties broken by item index, so
-        // identity keys keep caller order and the sort is deterministic).  Results reassemble
-        // through the permutation, so any admission order is output-identical — only which pass
-        // slot a ray occupies moves.
-        self.order.clear();
-        self.order.extend(0..items);
-        let mut slot_addressed = false;
-        if coherent && items > 1 {
-            self.keys.clear();
-            self.keys
-                .extend((0..items).map(|item| query.sort_key(item)));
-            let keys = &self.keys;
-            self.order.sort_unstable_by_key(|&item| (keys[item], item));
-            // A query that gathers its operand tables into admission order is addressed by
-            // slot from here on (see `BatchQuery::reorder`).
-            slot_addressed = query.reorder(&self.order);
-        }
-        self.slot_of.clear();
-        self.slot_of.resize(items, 0);
-        for (slot, &item) in self.order.iter().enumerate() {
-            self.slot_of[item] = slot;
-        }
-
-        // Check out one pooled state per item into the reusable roster (taken out of `self` so
-        // `query.build` can borrow a state while the pass buffers are borrowed too).  The roster
-        // is indexed by admission slot — `states[slot]` belongs to item `order[slot]` — so the
-        // build loop, which walks active slots in ascending order, touches it sequentially.
-        let mut states = core::mem::take(&mut self.states);
-        states.clear();
-        states.reserve(items);
-        for slot in 0..items {
-            let mut state = self.pool.pop().unwrap_or_default();
-            query.reset(
-                if slot_addressed {
-                    slot
-                } else {
-                    self.order[slot]
-                },
-                &mut state,
-            );
-            states.push(state);
-        }
-
-        self.active.clear();
-        self.active.extend(0..items);
-        crate::fault::scramble_checkpoint(&mut self.active);
-        // Which bucket trains build into directly (the other side pays a move-out copy); adapted
-        // per tile to the observed mix so the copy always lands on the minority opcode.  `false`
-        // to start: a traversal run's first pass is all root box beats.
-        let mut tri_direct = false;
-        let kind = query.kind();
-
-        let mut beats_spent = 0u64;
-        let mut cancelled = false;
-        while !self.active.is_empty() {
-            // The pass boundary is the cooperative cancellation point of the deadline knob.
-            if max_total_beats != 0 && beats_spent >= max_total_beats {
-                cancelled = true;
-                break;
-            }
-
-            // One logical pass, dispatched in cache-resident tiles (see [`PASS_TILE_BEATS`]):
-            // each active item appends its next beat(s) — items with no further beats retire in
-            // place — and every time the tile fills, it is dispatched and its responses applied
-            // before the build resumes.  Applying a tile early is invisible to the items: a
-            // response only ever touches its own item's state, and an item builds exactly once
-            // per pass either way.
-            let total = self.active.len();
-            let mut pass_beats = 0usize;
-            let mut pass_counted = false;
-            let mut still_active = 0usize;
-            let mut cursor = 0usize;
-            while cursor < total {
-                self.requests.clear();
-                self.beat_owner.clear();
-                self.deferred.clear();
-                self.deferred_owner.clear();
-                while cursor < total && self.requests.len() + self.deferred.len() < PASS_TILE_BEATS
-                {
-                    let slot = self.active[cursor];
-                    cursor += 1;
-                    let index = if slot_addressed {
-                        slot
-                    } else {
-                        self.order[slot]
-                    };
-                    // Opcode bucketing ([`CoherenceMode::SortAndCompact`]): the tile keeps two
-                    // buckets — mixed/box beats in `requests`, all-triangle trains in
-                    // `deferred` — so box beats pack adjacently (eight-wide pairs) and triangle
-                    // trains concatenate into long same-opcode runs.  Trains build straight
-                    // into whichever bucket dominated the previous tile (`tri_direct`) and the
-                    // minority trains move out, so the common case never copies on either a
-                    // leaf-grinding or a node-hopping workload.  Safe because a train moves
-                    // intact (per-item beat order unchanged) and ray beats are stateless — only
-                    // the accumulator-chained distance beats order across items, and those are
-                    // never bucketed.
-                    let out = if coherent && tri_direct {
-                        &mut self.deferred
-                    } else {
-                        &mut self.requests
-                    };
-                    let before = out.len();
-                    if query.build(index, &mut states[slot], out) {
-                        debug_assert!(
-                            out.len() > before,
-                            "{kind} query item {index} stayed active without appending a beat",
-                        );
-                        if coherent {
-                            if tri_direct {
-                                if self.deferred[before..]
-                                    .iter()
-                                    .all(|r| r.opcode == Opcode::RayTriangle)
-                                {
-                                    self.deferred_owner.resize(self.deferred.len(), slot);
-                                } else {
-                                    self.requests.extend(self.deferred.drain(before..));
-                                    self.beat_owner.resize(self.requests.len(), slot);
-                                }
-                            } else if self.requests[before..]
-                                .iter()
-                                .all(|r| r.opcode == Opcode::RayTriangle)
-                            {
-                                self.deferred.extend(self.requests.drain(before..));
-                                self.deferred_owner.resize(self.deferred.len(), slot);
-                            } else {
-                                self.beat_owner.resize(self.requests.len(), slot);
-                            }
-                        } else {
-                            self.beat_owner.resize(self.requests.len(), slot);
-                        }
-                        self.active[still_active] = slot;
-                        still_active += 1;
-                    } else {
-                        debug_assert_eq!(
-                            if coherent && tri_direct {
-                                self.deferred.len()
-                            } else {
-                                self.requests.len()
-                            },
-                            before,
-                            "{kind} query item {index} appended beats while retiring",
-                        );
-                    }
-                }
-                let tile_beats = self.requests.len() + self.deferred.len();
-                if tile_beats == 0 {
-                    continue;
-                }
-                if !pass_counted {
-                    // Pass accounting is per logical pass, not per tile, so the BeatMix pass
-                    // counters match the untiled schedule exactly.
-                    datapath.record_pass(&[(kind, tile_beats)]);
-                    pass_counted = true;
-                }
-                pass_beats += tile_beats;
-
-                // Dispatch and apply the buckets back to back: mixed/box beats first, triangle
-                // trains behind them — the same beat order the single-buffer schedule had, just
-                // without physically concatenating the buckets.  No lane run spans the bucket
-                // boundary (the buckets hold different opcodes), so lane accounting is
-                // unchanged, and apply order across items never matters (per-item state only).
-                for (chunk, owners) in [
-                    (&self.requests, &self.beat_owner),
-                    (&self.deferred, &self.deferred_owner),
-                ] {
-                    if chunk.is_empty() {
-                        continue;
-                    }
-                    datapath.execute_pass_chunk(chunk, kind, &mut self.responses);
-                    for (response, &slot) in self.responses.iter().zip(owners) {
-                        let index = if slot_addressed {
-                            slot
-                        } else {
-                            self.order[slot]
-                        };
-                        query.apply(index, &mut states[slot], response);
-                    }
-                }
-                tri_direct = self.deferred.len() > self.requests.len();
-            }
-            self.active.truncate(still_active);
-            if pass_beats == 0 {
-                break;
-            }
-            beats_spent += pass_beats as u64;
-        }
-
-        // The retired prefix ends at the lowest still-active item (coherent admission may
-        // reorder the admission slots, so "first" is not "lowest" in general).
-        let retired_prefix = if cancelled {
-            self.active
-                .iter()
-                .map(|&slot| self.order[slot])
-                .min()
-                .unwrap_or(items)
-        } else {
-            items
-        };
-
-        // Collect the prefix outputs in item order, return every state (finished or not) to the
-        // pool, and park the emptied roster for the next run.
-        let mut outputs = Vec::with_capacity(retired_prefix);
-        for item in 0..retired_prefix {
-            let slot = self.slot_of[item];
-            outputs.push(query.finish(if slot_addressed { slot } else { item }, &mut states[slot]));
-        }
-        self.pool.append(&mut states);
-        self.states = states;
-        CappedRun {
-            outputs,
-            total: items,
-            beats: beats_spent,
-            complete: !cancelled,
-        }
-    }
-}
-
-/// A type-erased query stream inside a fused run: the object-safe face of a
-/// [`StreamRunner`], which is how heterogeneous [`BatchQuery`] implementations (different state
-/// and output types) share one [`FusedScheduler`] pass schedule.
+/// A type-erased query stream: the object-safe face of a [`StreamRunner`], which is how
+/// heterogeneous [`BatchQuery`] implementations (different state and output types) share one
+/// [`FusedScheduler`] pass schedule.
 ///
-/// The scheduler drives the protocol: [`FusedStream::start`] once, then per pass one
-/// [`FusedStream::build_pass`] (append this stream's beats for the pass, returning how many) and
-/// one [`FusedStream::apply_pass`] (consume exactly that many responses), until
-/// [`FusedStream::is_active`] turns false.  Streams never see each other's beats.
+/// The scheduler drives the protocol: [`FusedStream::start`] once, then per logical pass one or
+/// more [`FusedStream::build_pass`] calls (each appending a segment of this stream's beats to the
+/// current tile), each followed by one [`FusedStream::apply_pass`] with that segment's responses,
+/// until [`FusedStream::is_active`] turns false.  Streams never see each other's beats.
 pub trait FusedStream {
     /// The query kind of this stream, for pass-segment attribution.
     fn kind(&self) -> QueryKind;
 
-    /// (Re-)initialises every item of the stream; called once when a fused run begins.
+    /// (Re-)initialises every item of the stream; called once when a run begins.
     fn start(&mut self);
 
     /// `true` while any item of the stream is still in flight.
     fn is_active(&self) -> bool;
 
     /// Appends the next beat(s) of active items to `out` (retiring items with no further beats)
-    /// and returns the number of beats appended.
+    /// and returns `true` once the stream's share of the current logical pass is built.
     ///
-    /// `max_beats` is the scheduler's per-stream admission budget for this pass
-    /// ([`FusedScheduler::set_beat_budget`]): `0` admits every active item, a positive
-    /// budget stops admitting items once the pass segment holds at least that many beats.  An
-    /// item's whole beat train is always admitted together (never split across passes), so the
-    /// segment may overshoot the budget by the last admitted item's tail; items past the budget
-    /// simply stay in flight, in order, for the next pass.  Budgeting changes *which pass*
-    /// carries a beat, never an item's own beat sequence — outputs and per-stream statistics are
-    /// budget-invariant.
-    fn build_pass(&mut self, out: &mut Vec<RayFlexRequest>, max_beats: usize) -> usize;
+    /// `tile_beats` is the tile's capacity: once `out` holds at least that many beats, the build
+    /// pauses at the next item boundary and returns `false`; the scheduler then dispatches the
+    /// tile, applies it, and calls again with an emptied `out` to resume the same logical pass.
+    /// Every active item still builds exactly once per logical pass.
+    ///
+    /// `max_beats` is the scheduler's per-stream admission budget for the logical pass
+    /// ([`FusedScheduler::set_beat_budget`]): `0` admits every active item, a positive budget
+    /// ends the stream's pass once it holds at least that many beats, however many tiles they
+    /// span.  An item's whole beat train is always admitted together (never split across passes
+    /// or tiles), so the segment may overshoot the budget by the last admitted item's tail;
+    /// items past the budget simply stay in flight, in order, for the next pass.  Budgeting and
+    /// tiling change *which pass or tile* carries a beat, never an item's own beat sequence —
+    /// outputs and per-stream statistics are budget- and tile-invariant.
+    fn build_pass(
+        &mut self,
+        out: &mut Vec<RayFlexRequest>,
+        max_beats: usize,
+        tile_beats: usize,
+    ) -> bool;
 
-    /// Applies the responses to the beats this stream appended in the matching
+    /// Applies the responses to the beats this stream appended in its latest
     /// [`FusedStream::build_pass`] call, in append order.
     fn apply_pass(&mut self, responses: &[RayFlexResponse]);
 }
 
-/// Owns one [`BatchQuery`] and its per-item states for the duration of a fused run, implementing
-/// the type-erased [`FusedStream`] protocol over it.
+/// Owns one [`BatchQuery`] and its per-item states for the duration of a run, implementing the
+/// type-erased [`FusedStream`] protocol over it.
 ///
-/// A runner reproduces the [`WavefrontScheduler`] build/apply loop for its own query exactly —
-/// same per-item beat order, same retire-in-place active set — so running several runners fused
-/// yields per-stream results bit-identical to running each query alone.  After the run drains,
-/// [`StreamRunner::finish`] yields the query back (for its statistics) together with one output
-/// per item.
+/// A runner keeps its query's per-item beat order and retire-in-place active set whatever else
+/// shares the passes, so running several runners fused yields per-stream results bit-identical
+/// to running each query alone.  After the run drains, [`StreamRunner::finish`] yields the query
+/// back (for its statistics) together with one output per item.
 #[derive(Debug)]
 pub struct StreamRunner<Q: BatchQuery> {
     query: Q,
-    /// Per-item states, indexed by admission slot (`states[slot]` belongs to item
-    /// `order[slot]`), so the build loop walks them in admission order.
-    states: Vec<Q::State>,
-    /// Admission slots still in flight, in admission order.
-    active: Vec<usize>,
-    /// Admission slot owning each beat of the current pass (cleared per pass).
-    beat_owner: Vec<usize>,
-    /// The run's admission permutation (`order[slot] = item`); identity when coherence is off.
-    order: Vec<usize>,
-    /// Inverse of `order` (`slot_of[item] = slot`).
-    slot_of: Vec<usize>,
+    /// The run's storage: a fresh arena for a caller-built runner, an engine's pooled one
+    /// otherwise.
+    arena: RunnerArena<Q::State>,
     /// Whether the query opted into admission-slot addressing (see [`BatchQuery::reorder`]).
     slot_addressed: bool,
-    /// Reusable per-item coherence keys (indexed by item; filled when sorting is on).
-    keys: Vec<u64>,
-    /// Reusable tail buffer of [`CoherenceMode::SortAndCompact`]: ray–triangle trains deferred
-    /// behind this stream's other beats of the pass (drained back every pass).
-    deferred: Vec<RayFlexRequest>,
-    /// Item owning each deferred beat (parallel to `deferred`).
-    deferred_owner: Vec<usize>,
     /// Coherence discipline of subsequent runs (see [`StreamRunner::set_coherence`]).
     coherence: CoherenceMode,
     started: bool,
+    /// Progress through the current logical pass, kept across tile pauses: the next position of
+    /// `arena.active` to build …
+    cursor: usize,
+    /// … how many survivors of the built prefix were compacted to the front …
+    kept: usize,
+    /// … and how many beats the stream built so far (what the beat budget counts).
+    pass_beats: usize,
 }
 
 impl<Q: BatchQuery> StreamRunner<Q> {
-    /// Wraps a query for fused scheduling.  Items are initialised lazily by
-    /// [`FusedStream::start`] when a run begins.
+    /// Wraps a query for scheduling.  Items are initialised lazily by [`FusedStream::start`]
+    /// when a run begins.
     #[must_use]
     pub fn new(query: Q) -> Self {
+        Self::with_arena(query, RunnerArena::default())
+    }
+
+    /// [`StreamRunner::new`] over a pooled arena (see [`RunnerArena`]).
+    pub(crate) fn with_arena(query: Q, arena: RunnerArena<Q::State>) -> Self {
         StreamRunner {
             query,
-            states: Vec::new(),
-            active: Vec::new(),
-            beat_owner: Vec::new(),
-            order: Vec::new(),
-            slot_of: Vec::new(),
+            arena,
             slot_addressed: false,
-            keys: Vec::new(),
-            deferred: Vec::new(),
-            deferred_owner: Vec::new(),
             coherence: CoherenceMode::Off,
             started: false,
+            cursor: 0,
+            kept: 0,
+            pass_beats: 0,
         }
     }
 
     /// Sets the coherence discipline of subsequent runs (see
-    /// [`CoherenceMode`](crate::CoherenceMode) and [`WavefrontScheduler::set_coherence`]);
-    /// defaults to [`CoherenceMode::Off`].  Takes effect at the next [`FusedStream::start`].
+    /// [`CoherenceMode`](crate::CoherenceMode)); defaults to [`CoherenceMode::Off`] — caller
+    /// admission order.  The policy engines wire
+    /// [`ExecPolicy::coherence`](crate::ExecPolicy::coherence) through here.  Takes effect at
+    /// the next [`FusedStream::start`]; outputs and per-item statistics are identical in every
+    /// mode.
     pub fn set_coherence(&mut self, coherence: CoherenceMode) {
         self.coherence = coherence;
     }
@@ -619,19 +292,13 @@ impl<Q: BatchQuery> StreamRunner<Q> {
     ///
     /// Panics if the stream was never run or still has items in flight.
     #[must_use]
-    pub fn finish(mut self) -> (Q, Vec<Q::Output>) {
+    pub fn finish(self) -> (Q, Vec<Q::Output>) {
         assert!(
-            self.started && self.active.is_empty(),
+            self.started && self.arena.active.is_empty(),
             "a fused stream must be run to completion before finishing"
         );
-        let total = self.states.len();
-        let mut outputs = Vec::with_capacity(total);
-        for item in 0..total {
-            let slot = self.slot_of[item];
-            let index = if self.slot_addressed { slot } else { item };
-            outputs.push(self.query.finish(index, &mut self.states[slot]));
-        }
-        (self.query, outputs)
+        let (query, outputs, _, _) = self.into_parts();
+        (query, outputs)
     }
 
     /// The partial-aware sibling of [`StreamRunner::finish`]: extracts the query, the outputs
@@ -647,27 +314,34 @@ impl<Q: BatchQuery> StreamRunner<Q> {
     ///
     /// Panics if the stream was never run.
     #[must_use]
-    pub fn finish_partial(mut self) -> (Q, Vec<Q::Output>, usize) {
+    pub fn finish_partial(self) -> (Q, Vec<Q::Output>, usize) {
         assert!(
             self.started,
             "a fused stream must be run before finishing partially"
         );
-        let total = self.states.len();
+        let (query, outputs, total, _) = self.into_parts();
+        (query, outputs, total)
+    }
+
+    /// [`StreamRunner::finish_partial`] that also hands the arena back to its owner.
+    pub(crate) fn into_parts(mut self) -> (Q, Vec<Q::Output>, usize, RunnerArena<Q::State>) {
+        let arena = &mut self.arena;
+        let total = arena.order.len();
         // The lowest still-active item bounds the retired prefix (coherent admission may
         // reorder the admission slots, so "first" is not "lowest" in general).
-        let prefix = self
+        let prefix = arena
             .active
             .iter()
-            .map(|&slot| self.order[slot])
+            .map(|&slot| arena.order[slot])
             .min()
             .unwrap_or(total);
         let mut outputs = Vec::with_capacity(prefix);
         for item in 0..prefix {
-            let slot = self.slot_of[item];
+            let slot = arena.slot_of[item];
             let index = if self.slot_addressed { slot } else { item };
-            outputs.push(self.query.finish(index, &mut self.states[slot]));
+            outputs.push(self.query.finish(index, &mut arena.states[slot]));
         }
-        (self.query, outputs, total)
+        (self.query, outputs, total, self.arena)
     }
 }
 
@@ -678,68 +352,91 @@ impl<Q: BatchQuery> FusedStream for StreamRunner<Q> {
 
     fn start(&mut self) {
         let items = self.query.items();
-        // Coherent admission, exactly as in `WavefrontScheduler::run_capped`: one sort of the
-        // admission permutation up front, output-identical by construction.
-        self.order.clear();
-        self.order.extend(0..items);
+        let arena = &mut self.arena;
+        // Coherent admission: compute the run's admission order once — identity, or the
+        // coherence sort of the item indices by the query's key (ties broken by item index, so
+        // identity keys keep caller order and the sort is deterministic).  Results reassemble
+        // through the permutation, so any admission order is output-identical — only which pass
+        // slot an item occupies moves.
+        arena.order.clear();
+        arena.order.extend(0..items);
         self.slot_addressed = false;
         if self.coherence != CoherenceMode::Off && items > 1 {
-            self.keys.clear();
+            arena.keys.clear();
             let query = &self.query;
-            self.keys
+            arena
+                .keys
                 .extend((0..items).map(|item| query.sort_key(item)));
-            let keys = &self.keys;
-            self.order.sort_unstable_by_key(|&item| (keys[item], item));
-            self.slot_addressed = self.query.reorder(&self.order);
+            let keys = &arena.keys;
+            arena.order.sort_unstable_by_key(|&item| (keys[item], item));
+            // A query that gathers its operand tables into admission order is addressed by
+            // slot from here on (see `BatchQuery::reorder`).
+            self.slot_addressed = self.query.reorder(&arena.order);
         }
-        self.slot_of.clear();
-        self.slot_of.resize(items, 0);
-        for (slot, &item) in self.order.iter().enumerate() {
-            self.slot_of[item] = slot;
+        arena.slot_of.clear();
+        arena.slot_of.resize(items, 0);
+        for (slot, &item) in arena.order.iter().enumerate() {
+            arena.slot_of[item] = slot;
         }
-        self.states.clear();
-        self.states.resize_with(items, Q::State::default);
+        if arena.states.len() < items {
+            arena.states.resize_with(items, Q::State::default);
+        }
         for slot in 0..items {
             let index = if self.slot_addressed {
                 slot
             } else {
-                self.order[slot]
+                arena.order[slot]
             };
-            self.query.reset(index, &mut self.states[slot]);
+            self.query.reset(index, &mut arena.states[slot]);
         }
-        self.active.clear();
-        self.active.extend(0..items);
-        crate::fault::scramble_checkpoint(&mut self.active);
+        arena.active.clear();
+        arena.active.extend(0..items);
+        crate::fault::scramble_checkpoint(&mut arena.active);
+        self.cursor = 0;
+        self.kept = 0;
+        self.pass_beats = 0;
         self.started = true;
     }
 
     fn is_active(&self) -> bool {
-        !self.active.is_empty()
+        !self.arena.active.is_empty()
     }
 
-    fn build_pass(&mut self, out: &mut Vec<RayFlexRequest>, max_beats: usize) -> usize {
-        let pass_start = out.len();
-        self.beat_owner.clear();
-        debug_assert!(self.deferred.is_empty());
+    fn build_pass(
+        &mut self,
+        out: &mut Vec<RayFlexRequest>,
+        max_beats: usize,
+        tile_beats: usize,
+    ) -> bool {
+        let segment_start = out.len();
+        let arena = &mut self.arena;
+        arena.beat_owner.clear();
+        debug_assert!(arena.deferred.is_empty());
         let bucketed = self.coherence != CoherenceMode::Off;
-        let total = self.active.len();
-        let mut still_active = 0;
-        let mut processed = 0;
-        while processed < total {
-            // Budget admission: stop (leaving the rest of the active list untouched, in order)
-            // once this pass's segment — built beats plus the deferred triangle tail — reached
-            // the per-stream beat budget.
-            if max_beats != 0 && (out.len() - pass_start) + self.deferred.len() >= max_beats {
+        let total = arena.active.len();
+        let mut pass_built = true;
+        while self.cursor < total {
+            let segment = out.len() - segment_start + arena.deferred.len();
+            // Budget admission: end this stream's pass (leaving the rest of the active list
+            // untouched, in order) once the pass — every tile of it — reached the budget.
+            if max_beats != 0 && self.pass_beats + segment >= max_beats {
                 break;
             }
-            let slot = self.active[processed];
+            // Tile room: pause at this item boundary; the scheduler flushes the tile and
+            // resumes the same logical pass from here.
+            if out.len() + arena.deferred.len() >= tile_beats {
+                pass_built = false;
+                break;
+            }
+            let slot = arena.active[self.cursor];
+            self.cursor += 1;
             let index = if self.slot_addressed {
                 slot
             } else {
-                self.order[slot]
+                arena.order[slot]
             };
             let before = out.len();
-            if self.query.build(index, &mut self.states[slot], out) {
+            if self.query.build(index, &mut arena.states[slot], out) {
                 debug_assert!(
                     out.len() > before,
                     "{} stream item {index} stayed active without appending a beat",
@@ -750,16 +447,19 @@ impl<Q: BatchQuery> FusedStream for StreamRunner<Q> {
                         .iter()
                         .all(|r| r.opcode == Opcode::RayTriangle)
                 {
-                    // Opcode bucketing within this stream's segment (see the matching branch
-                    // in `WavefrontScheduler::run_capped`): the train moves intact to the
-                    // segment tail, never across the segment boundary.
-                    self.deferred.extend(out.drain(before..));
-                    self.deferred_owner.resize(self.deferred.len(), slot);
+                    // Opcode bucketing ([`CoherenceMode::SortAndCompact`]): all-triangle trains
+                    // move intact to the segment tail, so box beats pack adjacently (eight-wide
+                    // groups) and triangle trains concatenate into long same-opcode runs.  Safe
+                    // because a train moves whole (per-item beat order unchanged) and ray beats
+                    // are stateless — only the accumulator-chained distance beats order across
+                    // items, and those are never bucketed.
+                    arena.deferred.extend(out.drain(before..));
+                    arena.deferred_owner.resize(arena.deferred.len(), slot);
                 } else {
-                    self.beat_owner.resize(out.len() - pass_start, slot);
+                    arena.beat_owner.resize(out.len() - segment_start, slot);
                 }
-                self.active[still_active] = slot;
-                still_active += 1;
+                arena.active[self.kept] = slot;
+                self.kept += 1;
             } else {
                 debug_assert_eq!(
                     out.len(),
@@ -768,29 +468,34 @@ impl<Q: BatchQuery> FusedStream for StreamRunner<Q> {
                     self.query.kind()
                 );
             }
-            processed += 1;
         }
-        // Compact: survivors of the processed prefix, then the unprocessed (budget-deferred)
-        // suffix — relative item order is preserved either way.
-        if processed < total {
-            self.active.copy_within(processed..total, still_active);
-        }
-        self.active.truncate(still_active + (total - processed));
         // Append the deferred triangle trains behind the segment's other beats.
-        out.append(&mut self.deferred);
-        self.beat_owner.append(&mut self.deferred_owner);
-        out.len() - pass_start
+        out.append(&mut arena.deferred);
+        arena.beat_owner.append(&mut arena.deferred_owner);
+        self.pass_beats += out.len() - segment_start;
+        if pass_built {
+            // Compact: survivors of the built prefix, then the unbuilt (budget-deferred)
+            // suffix — relative item order is preserved either way.
+            let built = self.cursor;
+            arena.active.copy_within(built..total, self.kept);
+            arena.active.truncate(self.kept + (total - built));
+            self.cursor = 0;
+            self.kept = 0;
+            self.pass_beats = 0;
+        }
+        pass_built
     }
 
     fn apply_pass(&mut self, responses: &[RayFlexResponse]) {
-        debug_assert_eq!(responses.len(), self.beat_owner.len());
-        for (response, &slot) in responses.iter().zip(&self.beat_owner) {
+        let arena = &mut self.arena;
+        debug_assert_eq!(responses.len(), arena.beat_owner.len());
+        for (response, &slot) in responses.iter().zip(&arena.beat_owner) {
             let index = if self.slot_addressed {
                 slot
             } else {
-                self.order[slot]
+                arena.order[slot]
             };
-            self.query.apply(index, &mut self.states[slot], response);
+            self.query.apply(index, &mut arena.states[slot], response);
         }
     }
 }
@@ -816,8 +521,9 @@ macro_rules! delegate_fused_stream_to_runner {
                 &mut self,
                 out: &mut Vec<rayflex_core::RayFlexRequest>,
                 max_beats: usize,
-            ) -> usize {
-                $crate::query::FusedStream::build_pass(&mut self.runner, out, max_beats)
+                tile_beats: usize,
+            ) -> bool {
+                $crate::query::FusedStream::build_pass(&mut self.runner, out, max_beats, tile_beats)
             }
             fn apply_pass(&mut self, responses: &[rayflex_core::RayFlexResponse]) {
                 $crate::query::FusedStream::apply_pass(&mut self.runner, responses);
@@ -830,14 +536,15 @@ macro_rules! delegate_fused_stream_to_runner {
 }
 pub(crate) use delegate_fused_stream_to_runner;
 
-/// The fused multi-stream scheduler: merges the per-pass beats of N concurrent query streams —
-/// of *different* query kinds — into shared mixed-opcode bulk passes over a single datapath, and
-/// demuxes the responses back per stream.
+/// The batched scheduler: runs N concurrent query streams — of *different* query kinds, or just
+/// one — to completion in shared bulk passes over a single datapath, demuxing the responses back
+/// per stream.
 ///
-/// This is the software model of the paper's unified RT unit (§V-A) under a realistic
-/// multi-workload mix: one datapath time-multiplexes a closest-hit bounce stream, its shadow
-/// rays, distance scoring and BVH candidate collection within the *same* passes, instead of each
-/// workload getting an exclusive pass sequence.  Scheduling rules:
+/// With one stream this is the single-kind wavefront ([`ExecMode::Wavefront`]); with several it
+/// is the software model of the paper's unified RT unit (§V-A) under a realistic multi-workload
+/// mix: one datapath time-multiplexes a closest-hit bounce stream, its shadow rays, distance
+/// scoring and BVH candidate collection within the *same* passes, instead of each workload
+/// getting an exclusive pass sequence.  Scheduling rules:
 ///
 /// * **Stream admission** — all streams of a run are admitted up front ([`FusedScheduler::run`]
 ///   takes the full set) and started together; a stream that drains early simply stops
@@ -846,27 +553,35 @@ pub(crate) use delegate_fused_stream_to_runner;
 ///   each stream contributes at most that many beats per pass — `1` models strict round-robin
 ///   QoS between concurrent workloads, `0` the classic unlimited discipline — without changing
 ///   any stream's outputs or statistics (only the pass structure moves).
-/// * **Pass merging** — each pass concatenates the streams' beat segments in admission order
-///   into one request buffer and dispatches it with a single
-///   [`RayFlexDatapath::execute_batch_segmented`] call, which attributes every beat to its
-///   stream's [`QueryKind`] in the per-kind `BeatMix` table (and counts the pass as *fused* when
-///   at least two kinds contributed).
-/// * **Per-stream bit-identity** — a stream's own beat order is untouched by fusion (segments
-///   are contiguous, items never interleave within a `build` call, and the datapath carries no
-///   state across beats except the distance accumulators, whose beat trains stay contiguous
-///   inside one segment), so outputs and per-stream statistics equal sequential scheduling
-///   exactly.
+/// * **Pass merging** — each pass concatenates the streams' beat segments in admission order and
+///   dispatches them in cache-resident tiles of about `PASS_TILE_BEATS` (1024) beats through
+///   [`RayFlexDatapath::execute_segmented_chunk`], which attributes every beat to its stream's
+///   [`QueryKind`] in the per-kind `BeatMix` table.  The pass itself is recorded once, after its
+///   last tile ([`RayFlexDatapath::record_pass`], with each stream's total beats), so pass
+///   counters — and whether the pass counts as *fused* (at least two kinds contributed) — do not
+///   depend on the tile size.
+/// * **Per-stream bit-identity** — a stream's own beat order is untouched by fusion and tiling
+///   (segments are contiguous, items never split across a segment or tile, and the datapath
+///   carries no state across beats except the distance accumulators, whose beat trains stay
+///   contiguous inside one segment), so outputs and per-stream statistics equal sequential
+///   scheduling exactly.
 ///
-/// The buffers are reusable across runs; a steady-state fused workload performs no per-pass
+/// The buffers are reusable across runs; a steady-state workload performs no per-pass
 /// allocation.
+///
+/// [`ExecMode::Wavefront`]: crate::ExecMode::Wavefront
 #[derive(Debug, Default)]
 pub struct FusedScheduler {
-    /// Reusable merged request buffer: one mixed-kind batch per pass.
+    /// Reusable merged request buffer: one tile of a pass.
     requests: Vec<RayFlexRequest>,
     /// Reusable response buffer, parallel to `requests` after dispatch.
     responses: Vec<RayFlexResponse>,
-    /// `(kind, beat_count)` per stream for the current pass, in admission order.
+    /// `(kind, beat_count)` per stream for the current logical pass, in admission order.
     segments: Vec<(QueryKind, usize)>,
+    /// `(kind, beat_count)` per non-empty stream segment of the current tile.
+    tile_segments: Vec<(QueryKind, usize)>,
+    /// Stream index of each `tile_segments` entry.
+    tile_streams: Vec<usize>,
     /// Per-stream beat budget per pass (`0` = unlimited); see
     /// [`FusedScheduler::set_beat_budget`].
     beat_budget_per_stream: usize,
@@ -951,24 +666,6 @@ impl FusedScheduler {
         &self.order
     }
 
-    /// Computes the run's admission order into `self.order`: identity for FIFO, or a stable
-    /// (deadline, index) sort for earliest-deadline-first.
-    fn admit(&mut self, stream_count: usize) {
-        self.order.clear();
-        self.order.extend(0..stream_count);
-        if self.admission_order == crate::policy::AdmissionOrder::EarliestDeadlineFirst {
-            let deadlines = &self.stream_deadlines;
-            self.order.sort_by_key(|&index| {
-                let deadline = deadlines
-                    .get(index)
-                    .copied()
-                    .filter(|&deadline| deadline != 0)
-                    .unwrap_or(u64::MAX);
-                (deadline, index)
-            });
-        }
-    }
-
     /// Number of bulk passes the most recent run dispatched (diagnostics).
     #[must_use]
     pub fn last_run_passes(&self) -> u64 {
@@ -981,6 +678,64 @@ impl FusedScheduler {
     #[must_use]
     pub fn last_run_stream_passes(&self) -> &[u64] {
         &self.stream_passes
+    }
+
+    /// Runs `streams` the way `policy` dispatches them — the one place where an execution mode
+    /// becomes a scheduler configuration: the beat budget applies under
+    /// [`ExecMode::Fused`](crate::ExecMode::Fused) only, the admission order (with `deadlines`,
+    /// one per stream) always, and [`ExecMode::ScalarReference`](crate::ExecMode::ScalarReference)
+    /// takes the round-robin reference discipline while every batched mode takes the tiled bulk
+    /// pass loop.  `max_total_beats` caps the run as in [`FusedScheduler::run_capped`].
+    /// Which streams share a run is the caller's choice.
+    pub(crate) fn run_policy(
+        &mut self,
+        datapath: &mut RayFlexDatapath,
+        streams: &mut [&mut dyn FusedStream],
+        policy: &crate::ExecPolicy,
+        deadlines: &[u64],
+        max_total_beats: u64,
+    ) -> CappedFusedRun {
+        use crate::ExecMode;
+        self.set_beat_budget(if policy.mode == ExecMode::Fused {
+            policy.beat_budget_per_stream
+        } else {
+            0
+        });
+        self.set_admission_order(policy.admission_order);
+        self.set_stream_deadlines(deadlines);
+        if policy.mode == ExecMode::ScalarReference {
+            self.run_reference_capped(datapath, streams, max_total_beats)
+        } else {
+            self.run_capped(datapath, streams, max_total_beats)
+        }
+    }
+
+    /// Starts every stream and resets the per-run bookkeeping: the admission order — identity
+    /// for FIFO, or a stable (deadline, index) sort for earliest-deadline-first — and the pass
+    /// counters.
+    fn begin(&mut self, streams: &mut [&mut dyn FusedStream]) {
+        for stream in streams.iter_mut() {
+            stream.start();
+        }
+        self.order.clear();
+        self.order.extend(0..streams.len());
+        if self.admission_order == crate::policy::AdmissionOrder::EarliestDeadlineFirst {
+            let deadlines = &self.stream_deadlines;
+            self.order.sort_by_key(|&index| {
+                let deadline = deadlines
+                    .get(index)
+                    .copied()
+                    .filter(|&deadline| deadline != 0)
+                    .unwrap_or(u64::MAX);
+                (deadline, index)
+            });
+        }
+        self.last_run_passes = 0;
+        self.stream_passes.clear();
+        self.stream_passes.resize(streams.len(), 0);
+        self.requests.clear();
+        self.tile_segments.clear();
+        self.tile_streams.clear();
     }
 
     /// Runs every stream to completion against `datapath`, merging their beats into shared bulk
@@ -996,9 +751,14 @@ impl FusedScheduler {
     }
 
     /// Runs the streams like [`FusedScheduler::run`], but cooperatively cancels at the first
-    /// shared-pass boundary where the run has spent at least `max_total_beats` datapath beats
-    /// (`0` disables the cap).  The first pass always executes; a cancelled run leaves streams
-    /// mid-flight — extract each stream's completed prefix with [`StreamRunner::finish_partial`].
+    /// pass boundary where the run has spent at least `max_total_beats` datapath beats (`0`
+    /// disables the cap).
+    ///
+    /// The check sits at the top of the pass loop, so the pass in flight when the budget crosses
+    /// the line completes, and the run may overshoot the cap by that pass's beats.  With a cap
+    /// of at least one, the first pass always executes, so a capped run always makes forward
+    /// progress.  A cancelled run leaves streams mid-flight — extract each stream's completed
+    /// prefix with [`StreamRunner::finish_partial`]; cancelled items never surface.
     ///
     /// # Panics
     ///
@@ -1009,16 +769,10 @@ impl FusedScheduler {
         streams: &mut [&mut dyn FusedStream],
         max_total_beats: u64,
     ) -> CappedFusedRun {
-        for stream in streams.iter_mut() {
-            stream.start();
-        }
-        self.admit(streams.len());
-        self.last_run_passes = 0;
-        self.stream_passes.clear();
-        self.stream_passes.resize(streams.len(), 0);
+        self.begin(streams);
         let mut beats_spent = 0u64;
         while streams.iter().any(|stream| stream.is_active()) {
-            // The shared-pass boundary is the cooperative cancellation point.
+            // The pass boundary is the cooperative cancellation point.
             if max_total_beats != 0 && beats_spent >= max_total_beats {
                 return CappedFusedRun {
                     beats: beats_spent,
@@ -1026,39 +780,70 @@ impl FusedScheduler {
                 };
             }
 
-            // Build phase: every stream appends its (budget-limited) segment of the merged
-            // pass, in admission order (slice order, or earliest-deadline-first).
-            self.requests.clear();
+            // One logical pass: every stream appends its (budget-limited) segment in admission
+            // order (slice order, or earliest-deadline-first).  Whenever the tile fills, it is
+            // dispatched and its responses applied before the build resumes.  Applying a tile
+            // early is invisible to the items: a response only ever touches its own item's
+            // state, and an item builds exactly once per pass either way.
             self.segments.clear();
-            for &index in &self.order {
-                let stream = &mut *streams[index];
-                let beats = stream.build_pass(&mut self.requests, self.beat_budget_per_stream);
-                self.segments.push((stream.kind(), beats));
+            for position in 0..self.order.len() {
+                let index = self.order[position];
+                let kind = streams[index].kind();
+                let mut beats = 0;
+                loop {
+                    let before = self.requests.len();
+                    let pass_built = streams[index].build_pass(
+                        &mut self.requests,
+                        self.beat_budget_per_stream,
+                        PASS_TILE_BEATS,
+                    );
+                    let appended = self.requests.len() - before;
+                    if appended > 0 {
+                        beats += appended;
+                        self.tile_segments.push((kind, appended));
+                        self.tile_streams.push(index);
+                    }
+                    if pass_built {
+                        break;
+                    }
+                    self.flush_tile(datapath, streams);
+                }
+                self.segments.push((kind, beats));
                 self.stream_passes[index] += u64::from(beats > 0);
             }
-            if self.requests.is_empty() {
+            self.flush_tile(datapath, streams);
+            let pass_beats: usize = self.segments.iter().map(|&(_, beats)| beats).sum();
+            if pass_beats == 0 {
                 // Every remaining item retired during the build (beatless drains exist — a
                 // collection item whose whole subtree is leaves, say).
                 break;
             }
+            // Pass accounting is per logical pass, not per tile.
+            datapath.record_pass(&self.segments);
             self.last_run_passes += 1;
-            beats_spent += self.requests.len() as u64;
-
-            // One bulk dispatch for the merged mixed-kind pass.
-            datapath.execute_batch_segmented(&self.requests, &self.segments, &mut self.responses);
-
-            // Demux phase: hand each stream its contiguous slice of the responses, walking the
-            // same admission order the build phase used.
-            let mut offset = 0;
-            for (&index, &(_, beats)) in self.order.iter().zip(&self.segments) {
-                streams[index].apply_pass(&self.responses[offset..offset + beats]);
-                offset += beats;
-            }
+            beats_spent += pass_beats as u64;
         }
         CappedFusedRun {
             beats: beats_spent,
             complete: true,
         }
+    }
+
+    /// Dispatches the current tile in one bulk call and hands each stream segment its
+    /// contiguous slice of the responses, then empties the tile.
+    fn flush_tile(&mut self, datapath: &mut RayFlexDatapath, streams: &mut [&mut dyn FusedStream]) {
+        if self.requests.is_empty() {
+            return;
+        }
+        datapath.execute_segmented_chunk(&self.requests, &self.tile_segments, &mut self.responses);
+        let mut offset = 0;
+        for (&index, &(_, beats)) in self.tile_streams.iter().zip(&self.tile_segments) {
+            streams[index].apply_pass(&self.responses[offset..offset + beats]);
+            offset += beats;
+        }
+        self.requests.clear();
+        self.tile_segments.clear();
+        self.tile_streams.clear();
     }
 
     /// The scalar round-robin reference mode of [`FusedScheduler::run`]: the same pass schedule
@@ -1102,13 +887,7 @@ impl FusedScheduler {
         streams: &mut [&mut dyn FusedStream],
         max_total_beats: u64,
     ) -> CappedFusedRun {
-        for stream in streams.iter_mut() {
-            stream.start();
-        }
-        self.admit(streams.len());
-        self.last_run_passes = 0;
-        self.stream_passes.clear();
-        self.stream_passes.resize(streams.len(), 0);
+        self.begin(streams);
         let mut beats_spent = 0u64;
         while streams.iter().any(|stream| stream.is_active()) {
             // The round boundary is the reference discipline's pass boundary.
@@ -1119,22 +898,24 @@ impl FusedScheduler {
                 };
             }
             // Round-robin: each stream in turn (in admission order) builds its (budget-limited)
-            // pass segment and has it executed beat by beat before the next stream takes over.
-            // The scheduler-side pass accounting mirrors `run` (one scheduled round = one pass,
-            // per-stream contributions counted) even though the datapath's own bulk-pass
-            // counters stay at zero — no bulk dispatch ever happens here.
+            // pass segment — untiled — and has it executed beat by beat before the next stream
+            // takes over.  The scheduler-side pass accounting mirrors `run` (one scheduled
+            // round = one pass, per-stream contributions counted) even though the datapath's
+            // own bulk-pass counters stay at zero — no bulk dispatch ever happens here.
             let mut round_had_beats = false;
-            for order_position in 0..self.order.len() {
-                let index = self.order[order_position];
+            for position in 0..self.order.len() {
+                let index = self.order[position];
                 let stream = &mut *streams[index];
                 self.requests.clear();
-                let beats = stream.build_pass(&mut self.requests, self.beat_budget_per_stream);
-                if beats == 0 {
+                let pass_built =
+                    stream.build_pass(&mut self.requests, self.beat_budget_per_stream, usize::MAX);
+                debug_assert!(pass_built, "an untiled build always completes its pass");
+                if self.requests.is_empty() {
                     continue;
                 }
                 round_had_beats = true;
                 self.stream_passes[index] += 1;
-                beats_spent += beats as u64;
+                beats_spent += self.requests.len() as u64;
                 self.responses.clear();
                 for request in &self.requests {
                     self.responses
@@ -1240,35 +1021,54 @@ mod tests {
         }
     }
 
+    /// Runs `query` alone — a one-stream run, the single-kind wavefront — returning its
+    /// outputs and the query (for its counters).
+    fn run_alone<Q: BatchQuery>(
+        scheduler: &mut FusedScheduler,
+        datapath: &mut RayFlexDatapath,
+        query: Q,
+    ) -> (Vec<Q::Output>, Q) {
+        let mut runner = StreamRunner::new(query);
+        scheduler.run(datapath, &mut [&mut runner]);
+        let (query, outputs) = runner.finish();
+        (outputs, query)
+    }
+
     #[test]
     fn the_scheduler_runs_every_item_to_completion() {
-        let mut scheduler = WavefrontScheduler::new();
+        let mut scheduler = FusedScheduler::new();
         let mut datapath = RayFlexDatapath::new(PipelineConfig::baseline_unified());
-        let mut query = toy_query(9, 3);
-        let outputs = scheduler.run(&mut datapath, &mut query);
+        let (outputs, query) = run_alone(&mut scheduler, &mut datapath, toy_query(9, 3));
         assert_eq!(outputs, vec![3; 9], "every round of every item hit");
         assert_eq!(query.built, 9 * 3);
         assert_eq!(datapath.executed_beats(), 9 * 3);
+        assert_eq!(scheduler.last_run_passes(), 3);
+        assert_eq!(
+            datapath.beat_mix().fused_passes(),
+            0,
+            "one stream never fuses"
+        );
     }
 
     #[test]
     fn states_return_to_the_pool_and_are_recycled() {
-        let mut scheduler = WavefrontScheduler::new();
+        let mut scheduler = FusedScheduler::new();
         let mut datapath = RayFlexDatapath::new(PipelineConfig::baseline_unified());
-        let first = scheduler.run(&mut datapath, &mut toy_query(6, 2));
-        assert_eq!(scheduler.pooled_states(), 6);
-        let second = scheduler.run(&mut datapath, &mut toy_query(6, 2));
+        let mut runner = StreamRunner::new(toy_query(6, 2));
+        scheduler.run(&mut datapath, &mut [&mut runner]);
+        let (_, first, _, arena) = runner.into_parts();
+        assert_eq!(arena.pooled_states(), 6);
+        let mut runner = StreamRunner::with_arena(toy_query(6, 2), arena);
+        scheduler.run(&mut datapath, &mut [&mut runner]);
+        let (_, second, _, arena) = runner.into_parts();
         assert_eq!(first, second);
-        assert_eq!(scheduler.pooled_states(), 6, "states recycled, not leaked");
-    }
-
-    #[test]
-    fn empty_runs_are_fine() {
-        let mut scheduler: WavefrontScheduler<CountingState> = WavefrontScheduler::new();
-        let mut datapath = RayFlexDatapath::new(PipelineConfig::baseline_unified());
-        let outputs = scheduler.run(&mut datapath, &mut toy_query(0, 5));
-        assert!(outputs.is_empty());
-        assert_eq!(datapath.executed_beats(), 0);
+        assert_eq!(arena.pooled_states(), 6, "states recycled, not leaked");
+        // A smaller run reuses a prefix of the pool.
+        let mut runner = StreamRunner::with_arena(toy_query(2, 1), arena);
+        scheduler.run(&mut datapath, &mut [&mut runner]);
+        let (_, third, _, arena) = runner.into_parts();
+        assert_eq!(third, vec![1; 2]);
+        assert_eq!(arena.pooled_states(), 6);
     }
 
     #[test]
@@ -1348,63 +1148,33 @@ mod tests {
     }
 
     #[test]
-    fn an_uncapped_run_capped_call_is_the_plain_run() {
-        let mut scheduler = WavefrontScheduler::new();
-        let mut datapath = RayFlexDatapath::new(PipelineConfig::baseline_unified());
-        let run = scheduler.run_capped(&mut datapath, &mut toy_query(6, 2), 0);
-        assert!(run.complete, "a zero cap disables the deadline entirely");
-        assert_eq!(run.outputs, vec![2; 6]);
-        assert_eq!(run.total, 6);
-        assert_eq!(run.beats, 12);
-    }
-
-    #[test]
     fn a_capped_lockstep_run_cancels_with_an_empty_prefix() {
         // Nine items in lockstep: every pass carries nine beats.  A cap of 10 lets pass 1 (9
         // beats) through, admits pass 2 (9 < 10), and cancels at the pass-3 boundary with 18
         // beats spent — the pass in flight when the budget crosses the line always completes.
-        let mut scheduler = WavefrontScheduler::new();
+        let mut scheduler = FusedScheduler::new();
         let mut datapath = RayFlexDatapath::new(PipelineConfig::baseline_unified());
-        let run = scheduler.run_capped(&mut datapath, &mut toy_query(9, 3), 10);
-        assert!(!run.complete);
+        let mut runner = StreamRunner::new(toy_query(9, 3));
+        let run = scheduler.run_capped(&mut datapath, &mut [&mut runner], 10);
         assert_eq!(
-            run.beats, 18,
+            run,
+            CappedFusedRun {
+                beats: 18,
+                complete: false
+            },
             "cancellation overshoots by the pass in flight"
         );
-        assert_eq!(run.total, 9);
+        let (_, outputs, total, arena) = runner.into_parts();
+        assert_eq!(total, 9);
         assert!(
-            run.outputs.is_empty(),
+            outputs.is_empty(),
             "lockstep items are all still in flight: the retired prefix is empty"
         );
         assert_eq!(
-            scheduler.pooled_states(),
+            arena.pooled_states(),
             9,
             "cancelled items' states still return to the pool"
         );
-    }
-
-    #[test]
-    fn a_capped_staggered_run_yields_the_retired_prefix() {
-        let mut scheduler = WavefrontScheduler::new();
-        let mut datapath = RayFlexDatapath::new(PipelineConfig::baseline_unified());
-        let expected = scheduler.run(&mut datapath, &mut staggered_query(&[1, 2, 3, 4]));
-        assert_eq!(expected, vec![1, 2, 3, 4], "every round of every item hit");
-
-        // Passes carry 4, 3 and 2 beats (items retire as their rounds run out).  A cap of 8
-        // admits all three (4, then 7, both under the cap) and cancels at the fourth boundary
-        // with 9 beats spent.  An item retires on the pass AFTER its last beat (build returns
-        // false), so by then only items 0 and 1 have retired: the prefix is 2.
-        let mut capped_dp = RayFlexDatapath::new(PipelineConfig::baseline_unified());
-        let run = scheduler.run_capped(&mut capped_dp, &mut staggered_query(&[1, 2, 3, 4]), 8);
-        assert!(!run.complete);
-        assert_eq!(run.beats, 9);
-        assert_eq!(run.total, 4);
-        assert_eq!(
-            run.outputs,
-            expected[..2],
-            "the retired prefix is bit-identical to the uncapped run"
-        );
-        assert_eq!(scheduler.pooled_states(), 4);
     }
 
     #[test]
@@ -1462,13 +1232,14 @@ mod tests {
 
     #[test]
     fn fused_streams_match_sequential_scheduling_and_share_passes() {
-        // Sequential reference: each stream runs alone through the single-stream scheduler.
-        let mut scheduler = WavefrontScheduler::new();
+        // Sequential reference: each stream runs alone, one stream per run.
+        let mut scheduler = FusedScheduler::new();
         let mut sequential_dp = RayFlexDatapath::new(PipelineConfig::baseline_unified());
-        let expected_a = scheduler.run(&mut sequential_dp, &mut toy_query(7, 3));
-        let expected_b = scheduler.run(
+        let (expected_a, _) = run_alone(&mut scheduler, &mut sequential_dp, toy_query(7, 3));
+        let (expected_b, _) = run_alone(
+            &mut scheduler,
             &mut sequential_dp,
-            &mut toy_query_of_kind(QueryKind::AnyHit, 4, 5),
+            toy_query_of_kind(QueryKind::AnyHit, 4, 5),
         );
 
         // Fused: both streams share every pass of one datapath.
@@ -1559,6 +1330,84 @@ mod tests {
             dp_b.beat_mix().fused_passes() > 0,
             "streams still share passes"
         );
+    }
+
+    #[test]
+    fn a_pass_spanning_several_tiles_is_recorded_once() {
+        use crate::policy::AdmissionOrder;
+        // Stream A's 1500 one-beat items overflow one tile, so each logical pass it builds in
+        // dispatches as two tiles.  Issued A-first, the first tile is A alone and the second
+        // mixes A's tail with B; issued B-first (EDF), the first tile mixes and the second is
+        // A alone.  Either way the pass is one fused pass.
+        let streams = || {
+            (
+                StreamRunner::new(toy_query(1500, 2)),
+                StreamRunner::new(toy_query_of_kind(QueryKind::AnyHit, 10, 3)),
+            )
+        };
+        let mut reference = FusedScheduler::new();
+        let mut reference_dp = RayFlexDatapath::new(PipelineConfig::baseline_unified());
+        let (mut r1, mut r2) = streams();
+        reference.run_reference(&mut reference_dp, &mut [&mut r1, &mut r2]);
+        let (expected_a, expected_b) = (r1.finish().1, r2.finish().1);
+
+        for deadlines in [[0, 0], [0, 1]] {
+            let mut fused =
+                FusedScheduler::new().with_admission_order(AdmissionOrder::EarliestDeadlineFirst);
+            fused.set_stream_deadlines(&deadlines);
+            let mut datapath = RayFlexDatapath::new(PipelineConfig::baseline_unified());
+            let (mut a, mut b) = streams();
+            fused.run(&mut datapath, &mut [&mut a, &mut b]);
+            assert_eq!(a.finish().1, expected_a);
+            assert_eq!(b.finish().1, expected_b);
+
+            let mix = datapath.beat_mix();
+            assert_eq!(fused.last_run_passes(), 3, "{deadlines:?}");
+            assert_eq!(
+                mix.passes(),
+                fused.last_run_passes(),
+                "{deadlines:?}: tiles must not count as passes"
+            );
+            // A has beats in passes 1 and 2, B in passes 1 to 3.
+            assert_eq!(fused.last_run_stream_passes(), &[2, 3], "{deadlines:?}");
+            assert_eq!(
+                mix.fused_passes(),
+                2,
+                "{deadlines:?}: fusion is judged per logical pass, not per tile"
+            );
+            assert_eq!(mix.total(), 1500 * 2 + 10 * 3);
+        }
+    }
+
+    #[test]
+    fn a_beat_budget_larger_than_a_tile_counts_per_logical_pass() {
+        // A budget of 1200 beats spans two tiles per pass: stream A's 3000 one-beat items need
+        // passes of 1200, 1200 and 600 beats, exactly as the untiled reference schedule has it.
+        let streams = || {
+            (
+                StreamRunner::new(toy_query(3000, 1)),
+                StreamRunner::new(toy_query_of_kind(QueryKind::AnyHit, 10, 1)),
+            )
+        };
+        let mut reference = FusedScheduler::new().with_beat_budget(1200);
+        let mut reference_dp = RayFlexDatapath::new(PipelineConfig::baseline_unified());
+        let (mut r1, mut r2) = streams();
+        reference.run_reference(&mut reference_dp, &mut [&mut r1, &mut r2]);
+
+        let mut tiled = FusedScheduler::new().with_beat_budget(1200);
+        let mut datapath = RayFlexDatapath::new(PipelineConfig::baseline_unified());
+        let (mut a, mut b) = streams();
+        tiled.run(&mut datapath, &mut [&mut a, &mut b]);
+
+        assert_eq!(a.finish().1, r1.finish().1);
+        assert_eq!(b.finish().1, r2.finish().1);
+        assert_eq!(tiled.last_run_stream_passes(), &[3, 1]);
+        assert_eq!(
+            tiled.last_run_stream_passes(),
+            reference.last_run_stream_passes()
+        );
+        assert_eq!(datapath.beat_mix().passes(), tiled.last_run_passes());
+        assert_eq!(datapath.beat_mix().fused_passes(), 1);
     }
 
     #[test]

@@ -8,12 +8,10 @@
 //!   completion, issuing one register-accurate emulated beat at a time — the reference every
 //!   other mode is tested against;
 //! * [`ExecMode::Wavefront`](crate::ExecMode::Wavefront) keeps each whole ray stream in flight
-//!   through the generic [`WavefrontScheduler`](crate::WavefrontScheduler): every pass builds
-//!   one beat per active ray into a reusable request buffer, dispatches them through
-//!   [`RayFlexDatapath::execute_batch_into`](rayflex_core::RayFlexDatapath::execute_batch_into)
-//!   in bulk, then applies the responses to the per-ray states.  Per-ray state (traversal stack,
-//!   pending-leaf queue) comes from the scheduler's pool, so a steady-state stream performs no
-//!   allocation per ray;
+//!   as its own one-stream [`FusedScheduler`] run: every pass builds one beat train per active
+//!   ray into a reusable request buffer, dispatches them in bulk, then applies the responses to
+//!   the per-ray states.  Per-ray state (traversal stack, pending-leaf queue) comes from the
+//!   engine's pooled runner arena, so a steady-state stream performs no allocation per ray;
 //! * [`ExecMode::Fused`](crate::ExecMode::Fused) traces the request's closest-hit and any-hit
 //!   streams in **shared mixed-kind bulk passes** over the engine's single datapath (the
 //!   unified RT unit of §V-A), honouring the policy's per-stream beat budget;
@@ -37,7 +35,9 @@ use rayflex_geometry::Ray;
 
 use crate::error::{validate_rays, PartialResult, QueryError, QueryOutcome, SceneValidator};
 use crate::policy::{CoherenceMode, ExecMode, ExecPolicy};
-use crate::query::{BatchQuery, FusedScheduler, QueryKind, StreamRunner, WavefrontScheduler};
+use crate::query::{
+    BatchQuery, CappedFusedRun, FusedScheduler, FusedStream, QueryKind, RunnerArena, StreamRunner,
+};
 use crate::scene::{handle, handle_index, NodeStep, Scene, SceneView};
 
 /// The closest hit found by a traversal.
@@ -250,15 +250,15 @@ impl TraceOutput {
     }
 }
 
-/// Per-ray wavefront traversal state, shared by the closest-hit and any-hit queries.  The vectors
-/// are pooled by the scheduler and reused across rays and calls.
+/// Per-ray batched traversal state, shared by the closest-hit and any-hit queries.  The vectors
+/// are pooled by the engine's runner arenas and reused across rays and calls.
 ///
 /// Stack and pending entries are traversal *handles* (see `crate::scene`): a context id in the
 /// high bits — the top-level structure, or one instance's BLAS — and a node / mesh-local
 /// primitive index in the low bits, so one stack walks a flat BVH and a two-level TLAS/BLAS
 /// hierarchy with the same machinery.
 #[derive(Debug, Default)]
-pub struct RayWork {
+pub(crate) struct RayWork {
     stack: Vec<u64>,
     /// Leaf primitives awaiting their ray–triangle beat, tested back-to-front (`pop`), so they
     /// are pushed in reverse leaf order to preserve the scalar path's test order.
@@ -303,7 +303,7 @@ impl<'a> TraversalQuery<'a> {
     /// [`TraversalQuery::new`] recycling caller-pooled operand buffers: the buffers are cleared
     /// and refilled, so warm buffers make query construction allocation-free — the engine
     /// reclaims them via [`TraversalQuery::into_buffers`] after the run (the zero-alloc
-    /// steady-state contract of the wavefront hot path).
+    /// steady-state contract of the batched hot path).
     fn with_operand_buffer(
         kind: QueryKind,
         view: SceneView<'a>,
@@ -548,7 +548,7 @@ impl BatchQuery for TraversalQuery<'_> {
 /// stream, distance scoring, candidate collection) in the shared passes of a
 /// [`FusedScheduler`].
 ///
-/// Because the per-ray state machine is exactly the one the engine's wavefront frontend runs,
+/// Because the per-ray state machine is exactly the one the engine's batched modes run,
 /// the hits and [`TraversalStats`] a fused stream yields are bit-identical to
 /// [`TraversalEngine::trace`] under any [`ExecPolicy`](crate::ExecPolicy) over the same rays.
 #[derive(Debug)]
@@ -560,24 +560,20 @@ impl<'a> TraversalStream<'a> {
     /// A closest-hit stream over `rays` against `scene`.
     #[must_use]
     pub fn closest_hit(scene: &'a Scene, rays: &'a [Ray]) -> Self {
-        Self::closest_hit_view(scene.view(), rays)
+        TraversalStream {
+            runner: StreamRunner::new(TraversalQuery::new(
+                QueryKind::ClosestHit,
+                scene.view(),
+                rays,
+            )),
+        }
     }
 
     /// An any-hit (shadow/occlusion) stream over `rays` against `scene`.
     #[must_use]
     pub fn any_hit(scene: &'a Scene, rays: &'a [Ray]) -> Self {
-        Self::any_hit_view(scene.view(), rays)
-    }
-
-    pub(crate) fn closest_hit_view(view: SceneView<'a>, rays: &'a [Ray]) -> Self {
         TraversalStream {
-            runner: StreamRunner::new(TraversalQuery::new(QueryKind::ClosestHit, view, rays)),
-        }
-    }
-
-    pub(crate) fn any_hit_view(view: SceneView<'a>, rays: &'a [Ray]) -> Self {
-        TraversalStream {
-            runner: StreamRunner::new(TraversalQuery::new(QueryKind::AnyHit, view, rays)),
+            runner: StreamRunner::new(TraversalQuery::new(QueryKind::AnyHit, scene.view(), rays)),
         }
     }
 
@@ -641,19 +637,23 @@ pub struct TraversalEngine {
     next_tag: u64,
     /// Pooled traversal stacks (of handles) for the scalar paths.
     stack_pool: Vec<Vec<u64>>,
-    /// The generic wavefront scheduler; both traversal query kinds share its state pool.
-    scheduler: WavefrontScheduler<RayWork>,
-    /// The fused multi-stream scheduler for passes shared between query kinds.
+    /// The scheduler every batched run goes through.
     fused: FusedScheduler,
-    /// Coherence mode applied to batched admissions (octant-sorted wavefronts); the policy
-    /// entry points overwrite it per call, [`ExecMode::ScalarReference`] forces it off.
-    coherence: CoherenceMode,
-    /// Pooled per-ray operand buffer recycled across wavefront runs, so a steady-state trace
-    /// call builds its query without allocating.
-    operand_pool: Vec<RayOperand>,
-    /// Pooled scratch for the coherence reorder gather (see [`BatchQuery::reorder`]), recycled
-    /// like [`TraversalEngine::operand_pool`].
-    operand_scratch: Vec<RayOperand>,
+    /// Pooled storage per stream slot of a run: slot 0 serves the closest-hit stream of a
+    /// two-stream run and every one-stream run, slot 1 the any-hit stream of a two-stream run.
+    slots: [StreamSlot; 2],
+}
+
+/// The pooled storage one stream of a [`TraversalEngine`] run borrows: the runner arena (per-ray
+/// states and pass buffers) and the query's operand buffers, so a steady-state trace call
+/// builds and runs its streams without allocating.
+#[derive(Debug, Default)]
+struct StreamSlot {
+    arena: RunnerArena<RayWork>,
+    /// Per-ray operand table (see `TraversalQuery::operands`).
+    operands: Vec<RayOperand>,
+    /// Scratch for the coherence reorder gather (see [`BatchQuery::reorder`]).
+    scratch: Vec<RayOperand>,
 }
 
 impl TraversalEngine {
@@ -672,11 +672,8 @@ impl TraversalEngine {
             pool: crate::parallel::PoolStats::default(),
             next_tag: 0,
             stack_pool: Vec::new(),
-            scheduler: WavefrontScheduler::new(),
             fused: FusedScheduler::new(),
-            coherence: CoherenceMode::default(),
-            operand_pool: Vec::new(),
-            operand_scratch: Vec::new(),
+            slots: Default::default(),
         }
     }
 
@@ -713,50 +710,21 @@ impl TraversalEngine {
         self.pool
     }
 
-    /// Sets the SIMD lane width of this engine's datapath fast path (clamped to
-    /// `[1, rayflex_core::MAX_SIMD_LANES]`).  [`ExecPolicy::simd_lanes`] applies this
-    /// automatically at every `trace`/`try_trace` entry; the setter is public for callers
-    /// driving the engine's wavefront frontends directly.
-    pub fn set_simd_lanes(&mut self, lanes: usize) {
-        self.datapath.set_simd_lanes(lanes);
-    }
-
-    /// Selects the coherence mode the engine's batched frontends admit work under (octant-sorted
-    /// wavefronts, active-lane compaction — see [`CoherenceMode`]).
-    /// [`ExecPolicy::coherence`](crate::ExecPolicy) applies this automatically at every
-    /// `trace`/`try_trace` entry; the setter is public for callers driving the engine's
-    /// wavefront frontends directly.  Hits and [`TraversalStats`] are coherence-invariant —
-    /// the knob only reorders dispatch.
-    pub fn set_coherence(&mut self, coherence: CoherenceMode) {
-        self.coherence = coherence;
-    }
-
-    /// The coherence mode the engine's batched frontends currently admit work under.
-    #[must_use]
-    pub fn coherence(&self) -> CoherenceMode {
-        self.coherence
-    }
-
-    /// The effective (clamped) SIMD lane width of this engine's datapath fast path.
-    #[must_use]
-    pub fn simd_lanes(&self) -> usize {
-        self.datapath.simd_lanes()
-    }
-
     /// Traces a [`TraceRequest`] under an execution policy — **the** traversal entry point, for
     /// both query kinds and every [`ExecMode`]:
     ///
     /// * [`ExecMode::ScalarReference`] — every ray walks to completion one register-accurate
     ///   emulated beat at a time (closest-hit stream first, then any-hit);
-    /// * [`ExecMode::Wavefront`] — each stream runs as one bulk-dispatch wavefront through the
-    ///   shared scheduler;
+    /// * [`ExecMode::Wavefront`] — each stream runs alone as one bulk-dispatch wavefront
+    ///   (closest-hit first, then any-hit);
     /// * [`ExecMode::Fused`] — both streams merge into shared mixed-kind passes over this
     ///   engine's single datapath, with at most
     ///   [`beat_budget_per_stream`](ExecPolicy::beat_budget_per_stream) beats per stream per
     ///   pass;
     /// * [`ExecMode::Parallel`] — the streams shard contiguously across worker threads, each
-    ///   worker a private datapath running the fused discipline over its slice; per-shard
-    ///   statistics merge into this engine's totals.
+    ///   worker a private datapath tracing its chunk as a one-stream wavefront; per-shard
+    ///   statistics merge into this engine's totals.  A request too small to shard runs inline
+    ///   like [`ExecMode::Fused`] without a beat budget.
     ///
     /// Hits and accumulated [`TraversalStats`] are **bit-identical across all four modes** (and
     /// all beat budgets) — the cross-policy invariant `rtunit/tests/proptest_policy.rs` pins.
@@ -779,87 +747,15 @@ impl TraversalEngine {
     ///     .into_closest();
     /// assert!(hits[0].is_some());
     /// ```
+    ///
+    /// # Panics
+    ///
+    /// Panics if a parallel worker shard panics and its scalar-reference retry panics too (use
+    /// [`TraversalEngine::try_trace`] for a structured [`QueryError::ShardPanicked`] instead).
     pub fn trace(&mut self, request: &TraceRequest<'_>, policy: &ExecPolicy) -> TraceOutput {
-        self.datapath.set_simd_lanes(policy.effective_simd_lanes());
-        self.coherence = policy.effective_coherence();
-        let view = request.view();
-        match policy.mode {
-            ExecMode::ScalarReference => TraceOutput {
-                closest: request
-                    .closest
-                    .iter()
-                    .map(|ray| self.scalar_closest_hit(view, ray))
-                    .collect(),
-                any: request
-                    .any
-                    .iter()
-                    .map(|ray| self.scalar_any_hit(view, ray))
-                    .collect(),
-            },
-            ExecMode::Wavefront => TraceOutput {
-                closest: self.wavefront_closest_hits(view, request.closest),
-                any: self.wavefront_any_hits(view, request.any),
-            },
-            ExecMode::Fused => {
-                let (closest, any) = self.fused_pair(
-                    view,
-                    request.closest,
-                    request.any,
-                    policy.beat_budget_per_stream,
-                    policy.admission_order,
-                    request.deadlines,
-                );
-                TraceOutput { closest, any }
-            }
-            ExecMode::Parallel { shards } => {
-                let threads = shards.requested_threads();
-                let auto_tuned = crate::parallel::pair_effective_threads(
-                    request.closest.len(),
-                    request.any.len(),
-                    threads,
-                );
-                if auto_tuned <= 1 {
-                    // Too small to shard profitably: run inline on this engine (keeping its
-                    // pools and beat attribution) rather than spinning up a throwaway worker.
-                    if request.any.is_empty() {
-                        return TraceOutput {
-                            closest: self.wavefront_closest_hits(view, request.closest),
-                            any: Vec::new(),
-                        };
-                    }
-                    if request.closest.is_empty() {
-                        return TraceOutput {
-                            closest: Vec::new(),
-                            any: self.wavefront_any_hits(view, request.any),
-                        };
-                    }
-                    let (closest, any) = self.fused_pair(
-                        view,
-                        request.closest,
-                        request.any,
-                        0,
-                        policy.admission_order,
-                        request.deadlines,
-                    );
-                    return TraceOutput { closest, any };
-                }
-                let out = crate::parallel::fused_pair_sharded(
-                    *self.config(),
-                    view,
-                    request.closest,
-                    request.any,
-                    threads,
-                    policy.effective_simd_lanes(),
-                    policy.coherence,
-                    matches!(shards, crate::policy::ShardHint::Auto),
-                );
-                self.stats.merge(&out.stats);
-                self.pool.merge(&out.pool);
-                TraceOutput {
-                    closest: out.closest,
-                    any: out.any,
-                }
-            }
+        match self.trace_isolated(request, policy) {
+            Ok(output) => output,
+            Err(error) => panic!("{error}"),
         }
     }
 
@@ -929,13 +825,15 @@ impl TraversalEngine {
         self.trace_capped(request, policy)
     }
 
-    /// The uncapped `try_trace` body: [`TraversalEngine::trace`], except that parallel worker
-    /// panics surface as [`QueryError::ShardPanicked`] instead of unwinding.
+    /// The uncapped `try_trace` body, and [`TraversalEngine::trace`]'s: parallel worker panics
+    /// surface as [`QueryError::ShardPanicked`] instead of unwinding.
     fn trace_isolated(
         &mut self,
         request: &TraceRequest<'_>,
         policy: &ExecPolicy,
     ) -> Result<TraceOutput, QueryError> {
+        self.datapath.set_simd_lanes(policy.effective_simd_lanes());
+        let view = request.view();
         if let ExecMode::Parallel { shards } = policy.mode {
             let threads = shards.requested_threads();
             let auto_tuned = crate::parallel::pair_effective_threads(
@@ -943,10 +841,12 @@ impl TraversalEngine {
                 request.any.len(),
                 threads,
             );
+            // A request too small to shard profitably runs inline on this engine (keeping its
+            // pools and beat attribution) rather than on a throwaway worker.
             if auto_tuned > 1 {
-                let out = crate::parallel::fused_pair_sharded_checked(
+                let out = crate::parallel::fused_pair_sharded(
                     *self.config(),
-                    request.view(),
+                    view,
                     request.closest,
                     request.any,
                     threads,
@@ -963,105 +863,40 @@ impl TraversalEngine {
                 });
             }
         }
-        Ok(self.trace(request, policy))
+        if policy.mode == ExecMode::ScalarReference {
+            return Ok(TraceOutput {
+                closest: request
+                    .closest
+                    .iter()
+                    .map(|ray| self.scalar_closest_hit(view, ray))
+                    .collect(),
+                any: request
+                    .any
+                    .iter()
+                    .map(|ray| self.scalar_any_hit(view, ray))
+                    .collect(),
+            });
+        }
+        Ok(self.run_request(request, policy, 0).0)
     }
 
     /// The deadline-capped `try_trace` body: runs the request under
-    /// [`ExecPolicy::max_total_beats`] and maps the capped machinery's progress onto the
+    /// [`ExecPolicy::max_total_beats`] and maps the capped run's progress onto the
     /// [`QueryOutcome`] contract.
     ///
     /// Capped runs always execute inline on this engine's datapath — cooperative cancellation
     /// is a single-unit admission policy, so [`ExecMode::Parallel`] does not shard here (hits
-    /// of the completed prefix are bit-identical in every mode regardless).  The wavefront mode
-    /// runs its streams closest-first, threading the remaining budget into the second stream;
-    /// the other modes run both streams through the fused machinery (scalar via the
-    /// register-accurate reference walk).
+    /// of the completed prefix are bit-identical in every mode regardless).
     pub(crate) fn trace_capped(
         &mut self,
         request: &TraceRequest<'_>,
         policy: &ExecPolicy,
     ) -> Result<QueryOutcome<TraceOutput>, QueryError> {
         self.datapath.set_simd_lanes(policy.effective_simd_lanes());
-        self.coherence = policy.effective_coherence();
-        self.scheduler.set_coherence(self.coherence);
         let cap = policy.max_total_beats;
         let total = request.closest.len() + request.any.len();
-        let (output, complete, beats) = if policy.mode == ExecMode::Wavefront {
-            let mut closest_query = TraversalQuery::with_operand_buffer(
-                QueryKind::ClosestHit,
-                request.view(),
-                request.closest,
-                core::mem::take(&mut self.operand_pool),
-                core::mem::take(&mut self.operand_scratch),
-            );
-            let closest = self
-                .scheduler
-                .run_capped(&mut self.datapath, &mut closest_query, cap);
-            self.stats.merge(&closest_query.stats);
-            (self.operand_pool, self.operand_scratch) = closest_query.into_buffers();
-            let mut beats = closest.beats;
-            let mut any_hits = Vec::new();
-            let mut any_complete = request.any.is_empty();
-            let remaining = cap.saturating_sub(beats);
-            if closest.complete && !request.any.is_empty() && remaining > 0 {
-                let mut any_query = TraversalQuery::with_operand_buffer(
-                    QueryKind::AnyHit,
-                    request.view(),
-                    request.any,
-                    core::mem::take(&mut self.operand_pool),
-                    core::mem::take(&mut self.operand_scratch),
-                );
-                let any = self
-                    .scheduler
-                    .run_capped(&mut self.datapath, &mut any_query, remaining);
-                self.stats.merge(&any_query.stats);
-                (self.operand_pool, self.operand_scratch) = any_query.into_buffers();
-                beats += any.beats;
-                any_hits = any.outputs;
-                any_complete = any.complete;
-            }
-            (
-                TraceOutput {
-                    closest: closest.outputs,
-                    any: any_hits,
-                },
-                closest.complete && any_complete,
-                beats,
-            )
-        } else {
-            let mut closest = TraversalStream::closest_hit_view(request.view(), request.closest);
-            let mut any = TraversalStream::any_hit_view(request.view(), request.any);
-            closest.set_coherence(self.coherence);
-            any.set_coherence(self.coherence);
-            let budget = if policy.mode == ExecMode::Fused {
-                policy.beat_budget_per_stream
-            } else {
-                0
-            };
-            self.fused.set_beat_budget(budget);
-            self.fused.set_admission_order(policy.admission_order);
-            self.fused.set_stream_deadlines(&request.deadlines);
-            let streams: &mut [&mut dyn crate::query::FusedStream] = &mut [&mut closest, &mut any];
-            let progress = if policy.mode == ExecMode::ScalarReference {
-                self.fused
-                    .run_reference_capped(&mut self.datapath, streams, cap)
-            } else {
-                self.fused.run_capped(&mut self.datapath, streams, cap)
-            };
-            let (closest_hits, _, closest_stats) = closest.finish_partial();
-            let (any_hits, _, any_stats) = any.finish_partial();
-            self.stats.merge(&closest_stats);
-            self.stats.merge(&any_stats);
-            (
-                TraceOutput {
-                    closest: closest_hits,
-                    any: any_hits,
-                },
-                progress.complete,
-                progress.beats,
-            )
-        };
-        if complete {
+        let (output, progress) = self.run_request(request, policy, cap);
+        if progress.complete {
             return Ok(QueryOutcome::Complete(output));
         }
         let completed = output.closest.len() + output.any.len();
@@ -1074,9 +909,115 @@ impl TraversalEngine {
             output,
             completed,
             total,
-            beats_spent: beats,
+            beats_spent: progress.beats,
             progress: self.beat_mix(),
         }))
+    }
+
+    /// Runs a request's two streams through the scheduler under `policy`, capped at
+    /// `max_total_beats` (`0` = uncapped), grouping them as the mode says:
+    /// [`ExecMode::Wavefront`] runs each stream alone — closest-hit first, then any-hit with
+    /// the remaining cap — and every other mode runs both streams together in shared passes.
+    /// Returns the hits of each stream's completed prefix (the any-hit stream's are empty when
+    /// the closest-hit run was cancelled) and the overall progress.
+    fn run_request(
+        &mut self,
+        request: &TraceRequest<'_>,
+        policy: &ExecPolicy,
+        max_total_beats: u64,
+    ) -> (TraceOutput, CappedFusedRun) {
+        let view = request.view();
+        if policy.mode != ExecMode::Wavefront {
+            let ([closest, any], progress) = self.run_streams(
+                view,
+                [
+                    (QueryKind::ClosestHit, request.closest),
+                    (QueryKind::AnyHit, request.any),
+                ],
+                policy,
+                &request.deadlines,
+                max_total_beats,
+            );
+            return (TraceOutput { closest, any }, progress);
+        }
+        let ([closest], first) = self.run_streams(
+            view,
+            [(QueryKind::ClosestHit, request.closest)],
+            policy,
+            &[],
+            max_total_beats,
+        );
+        let remaining = max_total_beats.saturating_sub(first.beats);
+        if !first.complete || (max_total_beats != 0 && remaining == 0) {
+            let progress = CappedFusedRun {
+                beats: first.beats,
+                complete: first.complete && request.any.is_empty(),
+            };
+            let any = Vec::new();
+            return (TraceOutput { closest, any }, progress);
+        }
+        let ([any], second) = self.run_streams(
+            view,
+            [(QueryKind::AnyHit, request.any)],
+            policy,
+            &[],
+            remaining,
+        );
+        let progress = CappedFusedRun {
+            beats: first.beats + second.beats,
+            complete: second.complete,
+        };
+        (TraceOutput { closest, any }, progress)
+    }
+
+    /// One scheduler run of `N` (one or two) traversal streams under `policy`: stream `i`
+    /// traces `streams[i]` over stream slot `i`'s pooled storage, admitted under the policy's
+    /// coherence mode.  Statistics merge into the engine's totals; returns each stream's hits of
+    /// its completed prefix and the run's progress.  In steady state the only allocations are
+    /// the returned hit vectors.
+    fn run_streams<const N: usize>(
+        &mut self,
+        view: SceneView<'_>,
+        streams: [(QueryKind, &[Ray]); N],
+        policy: &ExecPolicy,
+        deadlines: &[u64],
+        max_total_beats: u64,
+    ) -> ([Vec<Option<TraversalHit>>; N], CappedFusedRun) {
+        let coherence = policy.effective_coherence();
+        let mut runners: [StreamRunner<TraversalQuery<'_>>; N] = core::array::from_fn(|index| {
+            let (kind, rays) = streams[index];
+            let slot = &mut self.slots[index];
+            let query = TraversalQuery::with_operand_buffer(
+                kind,
+                view,
+                rays,
+                core::mem::take(&mut slot.operands),
+                core::mem::take(&mut slot.scratch),
+            );
+            StreamRunner::with_arena(query, core::mem::take(&mut slot.arena))
+                .with_coherence(coherence)
+        });
+        let mut handles = runners
+            .each_mut()
+            .map(|runner| runner as &mut dyn FusedStream);
+        let progress = self.fused.run_policy(
+            &mut self.datapath,
+            &mut handles,
+            policy,
+            deadlines,
+            max_total_beats,
+        );
+        let mut index = 0;
+        let hits = runners.map(|runner| {
+            let (query, hits, _, arena) = runner.into_parts();
+            self.stats.merge(&query.stats);
+            let slot = &mut self.slots[index];
+            index += 1;
+            (slot.operands, slot.scratch) = query.into_buffers();
+            slot.arena = arena;
+            hits
+        });
+        (hits, progress)
     }
 
     /// The scalar register-accurate walk of one closest-hit ray (the
@@ -1200,76 +1141,9 @@ impl TraversalEngine {
         found
     }
 
-    /// One wavefront run of the closest-hit stream through the shared scheduler (the
-    /// [`ExecMode::Wavefront`] workhorse, also used per shard by the parallel mode's workers).
-    pub(crate) fn wavefront_closest_hits(
-        &mut self,
-        view: SceneView<'_>,
-        rays: &[Ray],
-    ) -> Vec<Option<TraversalHit>> {
-        self.wavefront_hits(QueryKind::ClosestHit, view, rays)
-    }
-
-    /// One wavefront run of the any-hit stream through the shared scheduler.
-    pub(crate) fn wavefront_any_hits(
-        &mut self,
-        view: SceneView<'_>,
-        rays: &[Ray],
-    ) -> Vec<Option<TraversalHit>> {
-        self.wavefront_hits(QueryKind::AnyHit, view, rays)
-    }
-
-    /// The shared wavefront frontend body: build the query over pooled operand storage, run it
-    /// under the engine's coherence mode, merge its statistics and reclaim the buffer — in
-    /// steady state the only allocation left is the returned hit vector.
-    fn wavefront_hits(
-        &mut self,
-        kind: QueryKind,
-        view: SceneView<'_>,
-        rays: &[Ray],
-    ) -> Vec<Option<TraversalHit>> {
-        let operands = core::mem::take(&mut self.operand_pool);
-        let scratch = core::mem::take(&mut self.operand_scratch);
-        let mut query = TraversalQuery::with_operand_buffer(kind, view, rays, operands, scratch);
-        self.scheduler.set_coherence(self.coherence);
-        let hits = self.scheduler.run(&mut self.datapath, &mut query);
-        self.stats.merge(&query.stats);
-        (self.operand_pool, self.operand_scratch) = query.into_buffers();
-        hits
-    }
-
-    /// The fused pair: the closest-hit and any-hit streams merged into shared mixed-kind bulk
-    /// passes over this engine's datapath, under the given per-stream beat budget (`0` =
-    /// unlimited).  The fusion is observable in the datapath's per-kind [`BeatMix`] counters and
-    /// its `fused_passes` count; hits and merged [`TraversalStats`] equal sequential wavefront
-    /// scheduling exactly.
-    pub(crate) fn fused_pair(
-        &mut self,
-        view: SceneView<'_>,
-        closest_rays: &[Ray],
-        any_rays: &[Ray],
-        beat_budget_per_stream: usize,
-        admission_order: crate::policy::AdmissionOrder,
-        deadlines: [u64; 2],
-    ) -> (Vec<Option<TraversalHit>>, Vec<Option<TraversalHit>>) {
-        let mut closest = TraversalStream::closest_hit_view(view, closest_rays);
-        let mut any = TraversalStream::any_hit_view(view, any_rays);
-        closest.set_coherence(self.coherence);
-        any.set_coherence(self.coherence);
-        self.fused.set_beat_budget(beat_budget_per_stream);
-        self.fused.set_admission_order(admission_order);
-        self.fused.set_stream_deadlines(&deadlines);
-        self.fused
-            .run(&mut self.datapath, &mut [&mut closest, &mut any]);
-        let (closest_hits, closest_stats) = closest.finish();
-        let (any_hits, any_stats) = any.finish();
-        self.stats.merge(&closest_stats);
-        self.stats.merge(&any_stats);
-        (closest_hits, any_hits)
-    }
-
-    /// Number of bulk passes the engine's most recent fused run dispatched (how a beat budget
-    /// reshapes the pass structure — diagnostics for the fairness knob).
+    /// Number of bulk passes the engine's most recent scheduler run dispatched (how a beat
+    /// budget reshapes the pass structure — diagnostics for the fairness knob).  Under
+    /// [`ExecMode::Wavefront`] that is the request's last one-stream run, the any-hit stream's.
     #[must_use]
     pub fn last_fused_passes(&self) -> u64 {
         self.fused.last_run_passes()
@@ -1283,7 +1157,7 @@ impl TraversalEngine {
 
     #[cfg(test)]
     fn work_pool_len(&self) -> usize {
-        self.scheduler.pooled_states()
+        self.slots[0].arena.pooled_states()
     }
 }
 

@@ -1,9 +1,9 @@
-//! The zero-alloc steady-state contract of the wavefront hot path, verified by a counting
-//! global allocator: after one warm-up trace has sized the engine's pooled buffers (pass
-//! request/response buffers, the admission permutation and its sort keys, the per-ray operand
-//! buffer, the pooled per-ray state roster), every further trace of a same-shape workload
-//! performs **no allocation inside the pass loop** — the only heap traffic left is the hit
-//! vector each call returns to the caller.
+//! The zero-alloc steady-state contract of the batched hot path (wavefront and fused traces),
+//! verified by a counting global allocator: after one warm-up trace has sized the engine's
+//! pooled buffers (pass request/response buffers, the admission permutation and its sort keys,
+//! the per-ray operand buffer, the pooled per-ray state roster), every further trace of a
+//! same-shape workload performs **no allocation inside the pass loop** — the only heap traffic
+//! left is the hit vector each call returns to the caller.
 //!
 //! This file deliberately holds a single `#[test]` (plus the allocator plumbing): the counting
 //! allocator tallies process-wide, so a sibling test running on another harness thread would
@@ -91,43 +91,42 @@ fn a_warm_wavefront_trace_allocates_only_its_output_vector() {
     let rays = camera_rays(96);
     let request = TraceRequest::closest_hit(&scene, &rays);
 
-    for coherence in CoherenceMode::ALL {
-        let policy = ExecPolicy::wavefront()
-            .with_simd_lanes(8)
-            .with_coherence(coherence);
+    let policies = CoherenceMode::ALL
+        .map(|coherence| {
+            ExecPolicy::wavefront()
+                .with_simd_lanes(8)
+                .with_coherence(coherence)
+        })
+        .into_iter()
+        .chain([ExecPolicy::fused()]);
+    for policy in policies {
+        let label = format!("{} {:?}", policy.mode, policy.coherence);
         let mut engine = TraversalEngine::baseline();
-        // Two warm-ups: the first sizes the scheduler's pass arena (request/response/owner
-        // buffers, admission permutation, sort keys), the operand pool and the per-ray state
-        // roster; the second settles the pooled per-ray stacks into their steady pool ordering
-        // (states return to the pool in retirement order, which is fixed from here on, so each
-        // state's capacity now fits the item it will serve on every later run).
+        // Two warm-ups: the first sizes the scheduler's pass buffers, the runner arena
+        // (owner buffers, admission permutation, sort keys, per-ray state roster) and the
+        // operand pool.  Each pooled state keeps serving the same admission slot, so its stack
+        // capacity already fits that slot's ray on every later run.
         let expected = engine.trace(&request, &policy);
         let second = engine.trace(&request, &policy);
-        assert_eq!(second, expected, "{coherence:?}: warm run changed the hits");
+        assert_eq!(second, expected, "{label}: warm run changed the hits");
 
         // Exactly one allocation: the `Vec<Option<TraversalHit>>` collected for the caller
         // (exact-size iterator).  Everything inside the pass loop — requests, responses, owner
         // maps, sort keys, the admission permutation, per-ray stacks — is recycled.
         let (third, steady) = count_allocations(|| engine.trace(&request, &policy));
-        assert_eq!(
-            third, expected,
-            "{coherence:?}: steady run changed the hits"
-        );
+        assert_eq!(third, expected, "{label}: steady run changed the hits");
         assert_eq!(
             steady, 1,
-            "{coherence:?}: a steady-state wavefront trace allocated {steady} times; \
+            "{label}: a steady-state trace allocated {steady} times; \
              the pass arena must be fully recycled"
         );
 
         // Steady state is steady: the next run costs exactly the same.
         let (fourth, still) = count_allocations(|| engine.trace(&request, &policy));
-        assert_eq!(
-            fourth, expected,
-            "{coherence:?}: steady run changed the hits"
-        );
+        assert_eq!(fourth, expected, "{label}: steady run changed the hits");
         assert_eq!(
             still, 1,
-            "{coherence:?}: allocation count must not grow across steady runs"
+            "{label}: allocation count must not grow across steady runs"
         );
     }
 }

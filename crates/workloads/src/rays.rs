@@ -18,8 +18,7 @@ pub const SHADOW_EPSILON: f32 = 1e-3;
 /// A `width` × `height` grid of primary camera rays: origins on the plane `z = 0` spanning
 /// `extent` in x/y, all looking down `+z` with a slight deterministic jitter so neighbouring rays
 /// do not trace identical paths.
-#[must_use]
-pub fn camera_grid(width: usize, height: usize, extent: f32) -> Vec<Ray> {
+fn camera_grid(width: usize, height: usize, extent: f32) -> Vec<Ray> {
     let count = width.max(1) * height.max(1);
     (0..count)
         .map(|i| {
@@ -34,7 +33,9 @@ pub fn camera_grid(width: usize, height: usize, extent: f32) -> Vec<Ray> {
         .collect()
 }
 
-/// [`camera_grid`] packed into a structure-of-arrays stream.
+/// A `width` × `height` grid of primary camera rays packed into a structure-of-arrays stream:
+/// origins on the plane `z = 0` spanning `extent` in x/y, all looking down `+z` with a slight
+/// deterministic jitter so neighbouring rays do not trace identical paths.
 #[must_use]
 pub fn camera_grid_packet(width: usize, height: usize, extent: f32) -> RayPacket {
     RayPacket::from_rays(&camera_grid(width, height, extent))
@@ -48,12 +49,6 @@ pub fn random_rays(seed: u64, count: usize, bounds: &Aabb) -> Vec<Ray> {
     (0..count)
         .map(|_| sampling::ray_in_box(&mut rng, bounds))
         .collect()
-}
-
-/// [`random_rays`] packed into a structure-of-arrays stream.
-#[must_use]
-pub fn random_rays_packet(seed: u64, count: usize, bounds: &Aabb) -> RayPacket {
-    RayPacket::from_rays(&random_rays(seed, count, bounds))
 }
 
 /// One shadow ray per surface point, aimed at a point light: unit direction toward the light,
@@ -198,7 +193,6 @@ mod tests {
         let bounds = Aabb::new(Vec3::splat(-10.0), Vec3::splat(10.0));
         assert_eq!(random_rays(7, 32, &bounds), random_rays(7, 32, &bounds));
         assert_ne!(random_rays(7, 32, &bounds), random_rays(8, 32, &bounds));
-        assert_eq!(random_rays_packet(7, 8, &bounds).len(), 8);
     }
 
     #[test]

@@ -215,15 +215,6 @@ impl InstancedSceneDesc {
             })
             .collect()
     }
-
-    /// Total triangles the scene places in the world (the flattened count).
-    #[must_use]
-    pub fn placed_triangle_count(&self) -> usize {
-        self.placements
-            .iter()
-            .map(|(mesh, _)| self.meshes[*mesh].len())
-            .sum()
-    }
 }
 
 /// A debris field: `kinds` distinct random shard meshes scattered as `count` instances with
@@ -259,30 +250,6 @@ pub fn debris_field(seed: u64, kinds: usize, count: usize, extent: f32) -> Insta
     InstancedSceneDesc { meshes, placements }
 }
 
-/// A crowd of identical icospheres on an `n × n` ground grid spaced `spacing` apart — one mesh,
-/// `n²` pure-translation placements.  The structured counterpart to [`debris_field`]: TLAS
-/// traversal over a regular layout, and the refit benchmark's moving-scene stand-in.
-#[must_use]
-pub fn icosphere_crowd(subdivisions: u32, n: usize, spacing: f32) -> InstancedSceneDesc {
-    let mesh = icosphere(subdivisions, spacing * 0.35, Vec3::ZERO);
-    let half = (n.saturating_sub(1)) as f32 * spacing / 2.0;
-    let placements = (0..n * n)
-        .map(|i| {
-            let (row, col) = (i / n, i % n);
-            let offset = Vec3::new(
-                col as f32 * spacing - half,
-                0.0,
-                row as f32 * spacing - half,
-            );
-            (0, Affine::translation(offset))
-        })
-        .collect();
-    InstancedSceneDesc {
-        meshes: vec![mesh],
-        placements,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -294,25 +261,11 @@ mod tests {
         assert_eq!(a.meshes.len(), 3);
         assert_eq!(a.placements.len(), 64);
         assert_eq!(a.flatten(), b.flatten());
-        assert_eq!(a.flatten().len(), a.placed_triangle_count());
         for (mesh, transform) in &a.placements {
             assert!(*mesh < a.meshes.len());
             assert!(transform.is_finite());
             assert!(transform.determinant().abs() > f32::EPSILON);
         }
-    }
-
-    #[test]
-    fn icosphere_crowd_places_a_square_grid_of_one_mesh() {
-        let crowd = icosphere_crowd(1, 4, 6.0);
-        assert_eq!(crowd.meshes.len(), 1);
-        assert_eq!(crowd.placements.len(), 16);
-        assert_eq!(crowd.placed_triangle_count(), 16 * 80);
-        // Pure translations: flattening shifts vertices without deforming the mesh.
-        let flat = crowd.flatten();
-        let (mesh_idx, transform) = &crowd.placements[5];
-        let baked = crowd.meshes[*mesh_idx][0].transformed(transform);
-        assert_eq!(flat[5 * 80], baked);
     }
 
     #[test]
